@@ -190,15 +190,13 @@ def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
 
 
 def _build_typed(object_id: str, cls: str, attrs: Mapping, refs: Mapping) -> Node:
-    attr_specs = {spec.name: spec for spec in CLASS_ATTRS.get(cls, ())}
-    ref_specs = {spec.name: spec for spec in CLASS_REFS.get(cls, ())}
-    nested = _NESTED_ATTRS.get(cls, frozenset())
+    attr_specs, ref_specs, attr_names, ref_names = _TYPED_SPECS[cls]
 
-    unknown = sorted(set(attrs) - set(attr_specs) - nested)
+    unknown = sorted(attrs.keys() - attr_names)
     if unknown:
         _fail(SCHEMA, f"{cls} does not define attrs: {', '.join(unknown)}",
               object_id=object_id)
-    unknown = sorted(set(refs) - set(ref_specs))
+    unknown = sorted(refs.keys() - ref_names)
     if unknown:
         _fail(SCHEMA, f"{cls} does not define refs: {', '.join(unknown)}",
               object_id=object_id)
@@ -249,6 +247,17 @@ _NESTED_ATTRS: dict[str, frozenset[str]] = {
     "Data_Transfer": frozenset({"basis"}),
     "Data_Protection_Impact_Assessment": frozenset({"consultation"}),
 }
+
+# Per typed class, built once: (attr specs by name, ref specs by name,
+# allowed attr names including nested ones, allowed ref names).
+_TYPED_SPECS: dict[str, tuple[dict, dict, frozenset[str], frozenset[str]]] = {}
+for _cls in DATACLASS_FOR:
+    _attrs = {spec.name: spec for spec in CLASS_ATTRS.get(_cls, ())}
+    _refs = {spec.name: spec for spec in CLASS_REFS.get(_cls, ())}
+    _TYPED_SPECS[_cls] = (_attrs, _refs,
+                          frozenset(_attrs) | _NESTED_ATTRS.get(_cls, frozenset()),
+                          frozenset(_refs))
+del _cls, _attrs, _refs
 
 
 def _coerce_attr(object_id: str, cls: str, spec, value: object):

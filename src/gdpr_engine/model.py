@@ -529,9 +529,14 @@ GENERIC_CLASSES = frozenset(
 # ---------------------------------------------------------------------------
 
 class InstanceGraph:
-    """Reference-resolved, id-sorted set of model objects. Immutable."""
+    """Reference-resolved, id-sorted set of model objects. Immutable.
 
-    __slots__ = ("_objects", "_by_class")
+    Construction indexes the graph once: the id-sorted rows of every class
+    and of each class expansion, and the referrers along the roles that
+    rules navigate backwards. Lookups then return stored tuples.
+    """
+
+    __slots__ = ("_objects", "_rows", "_referrers")
 
     def __init__(self, objects: Sequence[Node]):
         ordered = sorted(objects, key=lambda n: n.id)
@@ -540,10 +545,25 @@ class InstanceGraph:
         self._objects: dict[str, Node] = {n.id: n for n in ordered}
         if len(self._objects) != len(ordered):
             raise ValueError("duplicate object ids in graph")
-        by_class: dict[str, list[str]] = {}
+        rows: dict[str, list[Node]] = {}
+        referrers: dict[tuple[str, str, str], list[Node]] = {}
         for node in ordered:
-            by_class.setdefault(node.cls, []).append(node.id)
-        self._by_class = {cls: tuple(ids) for cls, ids in by_class.items()}
+            cls = node.cls
+            rows.setdefault(cls, []).append(node)
+            expansion = _EXPANSION_OF.get(cls)
+            if expansion is not None and expansion != cls:
+                rows.setdefault(expansion, []).append(node)
+            if isinstance(node, GenericNode):
+                roles = node.refs.items()
+            elif cls in _BACKWARD_ROLES:
+                roles = [(role, getattr(node, role)) for role in _BACKWARD_ROLES[cls]]
+            else:
+                continue
+            for role, ids in roles:
+                for target in set(ids):
+                    referrers.setdefault((target, cls, role), []).append(node)
+        self._rows = {name: tuple(nodes) for name, nodes in rows.items()}
+        self._referrers = {key: tuple(nodes) for key, nodes in referrers.items()}
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -560,14 +580,17 @@ class InstanceGraph:
     def __getitem__(self, object_id: str) -> Node:
         return self._objects[object_id]
 
-    def of_class(self, class_name: str) -> list[Node]:
-        """Objects of ``class_name``, including model subclasses."""
-        names = _EXPANSIONS.get(class_name, (class_name,))
-        out: list[Node] = []
-        for name in names:
-            out.extend(self._objects[i] for i in self._by_class.get(name, ()))
-        out.sort(key=lambda n: n.id)
-        return out
+    def of_class(self, class_name: str) -> tuple[Node, ...]:
+        """Objects of ``class_name``, including model subclasses, by id."""
+        return self._rows.get(class_name, ())
+
+    def referrers(self, target_id: str, class_name: str,
+                  role: str) -> tuple[Node, ...]:
+        """Objects of ``class_name`` whose ``role`` references ``target_id``,
+        by id. Indexed roles: every generic-node ref, plus
+        ``Data_Protection_Officer.designatedBy`` and
+        ``Representative.represents``."""
+        return self._referrers.get((target_id, class_name, role), ())
 
     def resolve(self, ids: Sequence[str]) -> list[Node]:
         return [self._objects[i] for i in ids if i in self._objects]
@@ -588,10 +611,18 @@ class InstanceGraph:
         return latest
 
 
-_EXPANSIONS: dict[str, tuple[str, ...]] = {
-    "Data_Subject": tuple(sorted(SUBJECT_CLASSES)),
-    "Actor": tuple(sorted(ACTOR_CLASSES)),
-    "Security_Measure": tuple(sorted(MEASURE_CLASSES)),
+# Model class -> the broader class name under which ``of_class`` also
+# lists its objects.
+_EXPANSION_OF: dict[str, str] = {
+    **dict.fromkeys(SUBJECT_CLASSES, "Data_Subject"),
+    **dict.fromkeys(ACTOR_CLASSES, "Actor"),
+    **dict.fromkeys(MEASURE_CLASSES, "Security_Measure"),
+}
+
+# Typed roles that rules navigate from target to referrer.
+_BACKWARD_ROLES: dict[str, tuple[str, ...]] = {
+    "Data_Protection_Officer": ("designatedBy",),
+    "Representative": ("represents",),
 }
 
 

@@ -9,7 +9,7 @@ when a verdict depended on a variation hook that no resolution implemented.
 
 Rules never mutate the graph, never raise on odd data, and iterate objects
 in id order, so reports are deterministic and independent of declaration
-order. They may run concurrently; report assembly preserves catalog order.
+order. Report assembly preserves catalog order.
 """
 
 from __future__ import annotations
@@ -322,21 +322,18 @@ class EvalContext:
         return [n for n in self.graph.of_class(class_name)
                 if isinstance(n, GenericNode)]
 
-    def evidence_nodes(self, class_name: str, role: str, target_id: str) -> list[GenericNode]:
-        return [n for n in self.generic_nodes(class_name)
-                if target_id in n.refs.get(role, ())]
-
     def notification_for(self, p: DataProcessing, about: str) -> GenericNode | None:
-        for node in self.evidence_nodes("Notification", "processing", p.id):
+        for node in self.graph.referrers(p.id, "Notification", "processing"):
             if node.attrs.get("about") == about:
                 return node
         return None
 
     def dpo_designated_for(self, actor_id: str) -> bool:
-        for dpo in self.graph.of_class("Data_Protection_Officer"):
-            if isinstance(dpo, Actor) and actor_id in dpo.designatedBy:
-                return True
-        return False
+        return bool(self.graph.referrers(actor_id, "Data_Protection_Officer",
+                                         "designatedBy"))
+
+    def representatives(self, actor: Actor) -> tuple[Actor, ...]:
+        return self.graph.referrers(actor.id, "Representative", "represents")
 
     # -- profile-driven scoping ------------------------------------------------
 
@@ -539,7 +536,7 @@ def _c2(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures = [
         Finding(p.id, "no demonstration of principle compliance is recorded")
         for p in scope
-        if not ctx.evidence_nodes("Demonstration", "processing", p.id)
+        if not ctx.graph.referrers(p.id, "Demonstration", "processing")
     ]
     return _status(scope, failures)
 
@@ -557,8 +554,9 @@ def _c3(ctx: EvalContext) -> tuple[str, list[Finding]]:
                         purpose.id, "legal-obligation basis without its obligation source"))
             elif purpose.legalBasis == "NONE":
                 triggered.append(purpose)
-                if not (ctx.evidence_nodes("Lawfulness_Evidence", "purpose", purpose.id)
-                        or ctx.evidence_nodes("Lawfulness_Evidence", "processing", p.id)):
+                evidence = "Lawfulness_Evidence"
+                if not (ctx.graph.referrers(purpose.id, evidence, "purpose")
+                        or ctx.graph.referrers(p.id, evidence, "processing")):
                     failures.append(Finding(
                         purpose.id,
                         "processing outside the original collection purpose "
@@ -1092,9 +1090,7 @@ def _c21(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 
 def _represented_in_eu(ctx: EvalContext, actor: Actor) -> bool:
-    for rep in ctx.graph.of_class("Representative"):
-        if not isinstance(rep, Actor) or actor.id not in rep.represents:
-            continue
+    for rep in ctx.representatives(actor):
         for node in ctx.graph.resolve(rep.countries):
             if isinstance(node, Country) and node.isEUMemberState:
                 return True
@@ -1171,9 +1167,8 @@ def _c24(ctx: EvalContext) -> tuple[str, list[Finding]]:
     for p in ctx.scope():
         for actor in ctx.actors(p):
             actors[actor.id] = actor
-            for rep in ctx.graph.of_class("Representative"):
-                if isinstance(rep, Actor) and actor.id in rep.represents:
-                    actors[rep.id] = rep
+            for rep in ctx.representatives(actor):
+                actors[rep.id] = rep
     instances = [actors[i] for i in sorted(actors)]
     failures = [
         Finding(a.id, "refuses cooperation with the supervisory authority")
@@ -1754,7 +1749,7 @@ def _v14(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     for p in instances:
         granted = any(n.attrs.get("granted")
-                      for n in ctx.evidence_nodes("Authorization", "processing", p.id))
+                      for n in ctx.graph.referrers(p.id, "Authorization", "processing"))
         if not granted:
             failures.append(Finding(
                 p.id, "no prior supervisory-authority authorization on record"))
@@ -1836,7 +1831,7 @@ def _v20(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     for actor in instances:
         aligned = any(n.attrs.get("alignedWithGDPR")
-                      for n in ctx.evidence_nodes("Code_Of_Conduct", "holder", actor.id))
+                      for n in ctx.graph.referrers(actor.id, "Code_Of_Conduct", "holder"))
         if not aligned:
             failures.append(Finding(
                 actor.id, "comprehensive church rules are not brought in line "
@@ -1965,4 +1960,6 @@ def _minutes_to_iso(minutes: int) -> str:
     from datetime import datetime, timezone
 
     stamp = datetime.fromtimestamp(minutes * 60, tz=timezone.utc)
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # isoformat pads the year to four digits on every platform; strftime's
+    # %Y does not on glibc.
+    return stamp.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"

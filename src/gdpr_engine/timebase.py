@@ -36,6 +36,12 @@ FINE_TIER2_FLOOR_CENTS = 20_000_000 * 100
 FINE_TIER2_TURNOVER_PERCENT = 4
 
 
+# The instants a report can print: years 1-9999 in UTC.
+_FIRST_MINUTE = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()) // 60
+_LAST_MINUTE = int(datetime(9999, 12, 31, 23, 59,
+                            tzinfo=timezone.utc).timestamp()) // 60
+
+
 class TimestampError(ValueError):
     """Raised for a timestamp that is not a parseable ISO-8601 instant."""
 
@@ -44,7 +50,8 @@ def parse_minutes(value: str) -> int:
     """Parse an ISO-8601 instant into whole minutes since the Unix epoch.
 
     Accepts 'Z', an explicit offset, or a naive time (treated as UTC).
-    Seconds are truncated toward the minute grid.
+    Seconds are truncated toward the minute grid. The instant must fall in
+    years 1-9999 in UTC, so that every parsed value can be printed back.
     """
     if not isinstance(value, str) or not value:
         raise TimestampError(f"not a timestamp: {value!r}")
@@ -57,7 +64,10 @@ def parse_minutes(value: str) -> int:
         raise TimestampError(f"bad timestamp {value!r}: {exc}") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp()) // 60
+    minutes = int(stamp.timestamp()) // 60
+    if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
+        raise TimestampError(f"timestamp {value!r} falls outside years 1-9999 in UTC")
+    return minutes
 
 
 def is_timestamp(value: object) -> bool:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fixtures import compliant_document, document_bytes, failing_variants
+from fixtures import compliant_document, document_bytes, failing_variants, find
 from gdpr_engine.cli import main
 
 
@@ -53,6 +53,27 @@ def test_check_invalid_document_exits_three(tmp_path, capsys):
     path.write_text('{"objects": [')
     assert main(["check", "--instance", str(path)]) == 3
     assert "SYNTAX" in capsys.readouterr().err
+
+
+def test_check_date_outside_years_1_to_9999_in_utc_exits_three(instance_path,
+                                                               capsys):
+    # Local midnight of 1 January, year 1, at UTC+1 is still in year 0 in UTC.
+    assert main(["check", "--instance", instance_path,
+                 "--check-date", "0001-01-01T00:00:00+01:00"]) == 3
+    assert "outside years 1-9999" in capsys.readouterr().err
+
+
+def test_timestamp_attribute_outside_years_1_to_9999_exits_three(tmp_path,
+                                                                  capsys):
+    document = compliant_document()
+    find(document, "breach1")["attrs"]["subjectsCommunicatedAt"] = \
+        "9999-12-31T23:59:59-05:00"
+    path = tmp_path / "far.json"
+    path.write_bytes(document_bytes(document))
+    assert main(["check", "--instance", str(path), "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SCHEMA" in captured.err and "breach1" in captured.err
 
 
 def test_check_strict_mode_exits_two_on_unknown(instance_path, capsys):

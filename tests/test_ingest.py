@@ -7,7 +7,7 @@ import json
 import pytest
 
 from fixtures import compliant_document, document_bytes, find
-from gdpr_engine import load_instance, load_profile, serialize_instance
+from gdpr_engine import evaluate_all, load_instance, load_profile, serialize_instance
 from gdpr_engine.ingest import (
     BAD_LITERAL,
     DANGLING_REF,
@@ -111,6 +111,43 @@ def test_unknown_attr_rejected():
     expect_code(doc_bytes([
         {"id": "LU", "class": "Country",
          "attrs": {"code": "LU", "anthem": "Ons Heemecht"}}]), SCHEMA)
+
+
+def test_unknown_attrs_and_refs_are_listed_in_sorted_order():
+    error = expect_code(doc_bytes([
+        {"id": "LU", "class": "Country",
+         "attrs": {"code": "LU", "zeta": 1, "basis": {}, "alpha": 2}}]), SCHEMA)
+    assert str(error) == ("SCHEMA (object 'LU'): Country does not define "
+                          "attrs: alpha, basis, zeta")
+    error = expect_code(doc_bytes([
+        {"id": "t", "class": "Data_Transfer",
+         "attrs": {"basis": {"kind": "IntraEU"}},
+         "refs": {"to": "LU", "via": "DE", "from": "LU", "by": "x"}}]), SCHEMA)
+    assert str(error) == ("SCHEMA (object 't'): Data_Transfer does not define "
+                          "refs: by, via")
+
+
+@pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-05:00",
+                                   "0001-01-01T00:00:00+01:00"])
+def test_timestamp_outside_years_1_to_9999_in_utc_is_rejected(stamp):
+    document = compliant_document()
+    find(document, "cert1")["attrs"]["issuedAt"] = stamp
+    error = expect_code(document_bytes(document), SCHEMA)
+    assert error.object_id == "cert1"
+    assert "Certification.issuedAt" in str(error)
+
+
+@pytest.mark.parametrize("stamp, printed", [
+    ("9999-12-31T23:59:59Z", "9999-12-31T23:59:00Z"),
+    ("0001-01-01T00:00:00Z", "0001-01-01T00:00:00Z"),
+])
+def test_timestamps_at_the_ends_of_years_1_to_9999_load_and_evaluate(
+        stamp, printed, generic_profile):
+    document = compliant_document()
+    find(document, "cert1")["attrs"]["issuedAt"] = stamp
+    graph = load_instance(document_bytes(document), generic_profile)
+    report = evaluate_all(graph, generic_profile, check_date=stamp)
+    assert report.checkDate == printed
 
 
 def test_extended_literal_requires_the_extending_resolution():

@@ -14,9 +14,11 @@ from gdpr_engine.model import (
     DataProcessing,
     DataSubject,
     DataTransfer,
+    GenericNode,
     InstanceGraph,
     PersonalData,
     Purpose,
+    SecurityMeasure,
     TransferBasis,
     validate_graph,
 )
@@ -139,6 +141,63 @@ def test_of_class_expands_model_subclasses():
     graph = graph_of(LU, child, adult)
     assert [n.id for n in graph.of_class("Data_Subject")] == ["ad", "kid"]
     assert [n.id for n in graph.of_class("Child_Data_Subject")] == ["kid"]
+
+
+def test_of_class_expansions_are_id_sorted_across_subclasses():
+    nodes = [
+        DataSubject(id="s3", cls="Child_Data_Subject", ageYears=9, residence="LU"),
+        DataSubject(id="s1", cls="Data_Subject", ageYears=40, residence="LU"),
+        DataSubject(id="s2", cls="Child_Data_Subject", ageYears=8, residence="LU"),
+        Actor(id="a4", cls="Representative", countries=("LU",)),
+        Actor(id="a1", cls="Data_Processor", countries=("LU",)),
+        Actor(id="a3", cls="Data_Controller", countries=("LU",)),
+        Actor(id="a2", cls="Recipient"),
+        SecurityMeasure(id="m2", cls="Technical", kind="ENCRYPTION"),
+        SecurityMeasure(id="m3", cls="Organizational", kind="AUDIT"),
+        SecurityMeasure(id="m1", cls="Organizational", kind="AUDIT"),
+    ]
+    graph = InstanceGraph(list(reversed(nodes)))
+    for expansion, prefix in (("Data_Subject", "s"), ("Actor", "a"),
+                              ("Security_Measure", "m")):
+        expected = sorted(n.id for n in nodes if n.id.startswith(prefix))
+        assert [n.id for n in graph.of_class(expansion)] == expected
+    assert [n.id for n in graph.of_class("Organizational")] == ["m1", "m3"]
+    assert [n.id for n in graph.of_class("Child_Data_Subject")] == ["s2", "s3"]
+    assert graph.of_class("Breach") == ()
+
+
+def test_referrers_returns_id_sorted_nodes_of_the_class_and_role():
+    nodes = [
+        LU,
+        GenericNode(id="n2", cls="Notification",
+                    refs={"processing": ("p", "p")}),
+        GenericNode(id="n1", cls="Notification",
+                    refs={"processing": ("p",), "recipients": ("r",)}),
+        GenericNode(id="d1", cls="Demonstration", refs={"processing": ("p",)}),
+        Actor(id="dpo2", cls="Data_Protection_Officer", designatedBy=("c",)),
+        Actor(id="dpo1", cls="Data_Protection_Officer",
+              designatedBy=("c", "c", "q")),
+        Actor(id="rep", cls="Representative", countries=("LU",),
+              represents=("c",)),
+    ]
+    graph = graph_of(*nodes)
+
+    def ids(found):
+        return [n.id for n in found]
+
+    assert ids(graph.referrers("p", "Notification", "processing")) == ["n1", "n2"]
+    assert ids(graph.referrers("p", "Demonstration", "processing")) == ["d1"]
+    assert ids(graph.referrers("r", "Notification", "recipients")) == ["n1"]
+    assert ids(graph.referrers("c", "Data_Protection_Officer",
+                               "designatedBy")) == ["dpo1", "dpo2"]
+    assert ids(graph.referrers("q", "Data_Protection_Officer",
+                               "designatedBy")) == ["dpo1"]
+    assert ids(graph.referrers("c", "Representative", "represents")) == ["rep"]
+    # Wrong role, wrong class, unknown target: nothing.
+    assert graph.referrers("r", "Notification", "processing") == ()
+    assert graph.referrers("p", "Judgment", "processing") == ()
+    assert graph.referrers("ghost", "Notification", "processing") == ()
+    assert graph.referrers("c", "Actor", "represents") == ()
 
 
 def test_latest_timestamp_scan():

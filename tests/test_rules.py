@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import load_doc
-from fixtures import compliant_document, document_bytes, find, obj
+from fixtures import compliant_document, document_bytes, failing_variants, find, obj
 from gdpr_engine import (
     check_applicability,
     check_child_consent,
@@ -18,7 +18,9 @@ from gdpr_engine import (
     evaluate_rule,
     load_instance,
 )
+from gdpr_engine.model import Actor, GenericNode
 from gdpr_engine.rules import (
+    EvalContext,
     FAIL,
     FineClassificationError,
     NOT_APPLICABLE,
@@ -26,6 +28,7 @@ from gdpr_engine.rules import (
     RULE_CATALOG,
     UNKNOWN,
     UnknownRuleError,
+    _represented_in_eu,
 )
 from gdpr_engine.variability import Resolution, build_profile
 
@@ -432,3 +435,89 @@ def test_strict_mode_calms_down_once_hooks_are_resolved():
     verdict = evaluate_rule("C5", graph, profile, strict=True)
     assert verdict.status == PASS
     assert verdict.hookDependencies == ()
+
+
+# ---------------------------------------------------------------------------
+# Graph index: the indexed lookups answer as a scan of the whole graph does
+# ---------------------------------------------------------------------------
+
+# (class, role) pairs along which the rules look up evidence.
+EVIDENCE_ROLES = (
+    ("Demonstration", "processing"),
+    ("Lawfulness_Evidence", "purpose"),
+    ("Lawfulness_Evidence", "processing"),
+    ("Notification", "processing"),
+    ("Authorization", "processing"),
+    ("Code_Of_Conduct", "holder"),
+)
+
+
+def represented_document() -> dict:
+    """Non-EU controller and processor with representatives in and out of
+    the EU; evidence nodes reference several objects, some twice."""
+    document = compliant_document()
+    find(document, "ctrl")["refs"]["countries"] = ["US"]
+    find(document, "proc")["refs"]["countries"] = ["CA"]
+    document["objects"] += [
+        obj("rep_us", "Representative", {"kind": "LEGAL_PERSON"},
+            {"countries": ["US"], "represents": ["ctrl", "proc", "ctrl"]}),
+        obj("rep_lu", "Representative", {"kind": "LEGAL_PERSON"},
+            {"countries": ["LU"], "represents": ["ctrl"]}),
+        obj("dpo2", "Data_Protection_Officer", {"kind": "NATURAL_PERSON"},
+            {"countries": ["LU"], "designatedBy": ["recip"]}),
+        obj("note_erase", "Notification", {"about": "ERASURE"},
+            {"processing": ["p1", "p1"], "recipients": ["recip"]}),
+        obj("law1", "Lawfulness_Evidence", {},
+            {"purpose": "purp1", "processing": ["p1"]}),
+        obj("coc1", "Code_Of_Conduct", {"alignedWithGDPR": True},
+            {"holder": ["ctrl", "rep_lu"]}),
+        obj("auth1", "Authorization", {"granted": True}, {"processing": "p1"}),
+    ]
+    return document
+
+
+def index_documents() -> dict[str, dict]:
+    return {"ok": compliant_document(), "represented": represented_document(),
+            **failing_variants()}
+
+
+def scan_evidence(graph, class_name: str, role: str, target_id: str) -> list:
+    return [n for n in graph if n.cls == class_name
+            and isinstance(n, GenericNode) and target_id in n.refs.get(role, ())]
+
+
+def test_indexed_lookups_match_a_scan_of_the_graph(generic_profile):
+    for name, document in index_documents().items():
+        graph = load_instance(document_bytes(document), generic_profile)
+        ctx = EvalContext(graph, generic_profile)
+        for target in graph:
+            for class_name, role in EVIDENCE_ROLES:
+                assert list(graph.referrers(target.id, class_name, role)) \
+                    == scan_evidence(graph, class_name, role, target.id), \
+                    (name, target.id, class_name, role)
+            assert ctx.dpo_designated_for(target.id) == any(
+                n.cls == "Data_Protection_Officer" and target.id in n.designatedBy
+                for n in graph), (name, target.id)
+            if isinstance(target, Actor):
+                assert _represented_in_eu(ctx, target) == any(
+                    n.cls == "Representative" and target.id in n.represents
+                    and any(graph[c].isEUMemberState for c in n.countries)
+                    for n in graph), (name, target.id)
+        for p in graph.processings():
+            for about in ("RECTIFICATION", "ERASURE", "RESTRICTION"):
+                scanned = [n for n in scan_evidence(graph, "Notification",
+                                                    "processing", p.id)
+                           if n.attrs.get("about") == about]
+                assert ctx.notification_for(p, about) \
+                    == (scanned[0] if scanned else None), (name, p.id, about)
+
+
+def test_represented_document_exercises_every_indexed_lookup(generic_profile):
+    graph = load_instance(document_bytes(represented_document()), generic_profile)
+    ctx = EvalContext(graph, generic_profile)
+    assert _represented_in_eu(ctx, graph["ctrl"])
+    assert not _represented_in_eu(ctx, graph["proc"])
+    assert ctx.dpo_designated_for("recip")
+    assert ctx.notification_for(graph["p1"], "ERASURE").id == "note_erase"
+    assert [n.id for n in graph.referrers("ctrl", "Code_Of_Conduct",
+                                          "holder")] == ["coc1"]
