@@ -15,15 +15,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Sequence
+import re
+from typing import Iterator, Mapping, Sequence
 
 from . import model
 from .enums import ENUMERATIONS, TRANSFER_BASIS_KIND
 from .model import (
+    BAD_LITERAL,
+    BASIS_FIELDS,
     CLASS_ATTRS,
     CLASS_REFS,
+    DANGLING_REF,
     DATACLASS_FOR,
     GENERIC_CLASSES,
+    INVARIANT,
     Consultation,
     GenericNode,
     InstanceGraph,
@@ -32,7 +37,7 @@ from .model import (
     validate_graph,
 )
 from .registry import ABSTRACT_CLASSES, UnknownClassError, canonical_class_name
-from .timebase import is_timestamp
+from .timebase import TimestampError, TimestampRangeError, parse_minutes
 from .variability import (
     Resolution,
     VARIATION_POINTS,
@@ -43,9 +48,6 @@ SYNTAX = "SYNTAX"
 SCHEMA = "SCHEMA"
 UNKNOWN_CLASS = "UNKNOWN_CLASS"
 DUPLICATE_ID = "DUPLICATE_ID"
-DANGLING_REF = "DANGLING_REF"
-BAD_LITERAL = "BAD_LITERAL"
-INVARIANT = "INVARIANT"
 UNKNOWN_VARIATION = "UNKNOWN_VARIATION"
 
 ERROR_CODES = (
@@ -92,7 +94,9 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     Enumeration literals are checked against the base sets plus the
     extensions of ``profile`` when one is given.
     """
-    document = _parse_json(data)
+    text = _decode(data)
+    document = _parse_json(text)
+    _reject_lone_surrogates(data, text, document)
     _check_top_level(document, {"schemaVersion", "objects"}, "objects")
     raw_objects = document.get("objects")
     if not isinstance(raw_objects, list):
@@ -117,19 +121,42 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     return graph
 
 
-def _parse_json(data: bytes | str) -> dict:
+def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             _fail(SYNTAX, f"document is not UTF-8: {exc}")
+    return data
+
+
+def _parse_json(text: str) -> dict:
     try:
-        document = json.loads(data)
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(SYNTAX, exc.msg, line=exc.lineno, column=exc.colno)
     if not isinstance(document, dict):
         _fail(SCHEMA, "document root must be an object")
     return document
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_lone_surrogates(data: bytes | str, text: str, document: dict) -> None:
+    """Reject a string holding a lone surrogate (U+D800-U+DFFF): UTF-8
+    cannot encode it, so the canonical document could not be hashed.
+
+    Bytes are decoded strictly and carry none, so only a str argument or a
+    \\uD800-\\uDFFF escape can bring one in; a paired escape decodes to one
+    astral character and is valid.
+    """
+    if _SURROGATE_ESCAPE.search(text) or (isinstance(data, str) and not text.isascii()):
+        found = _SURROGATE.search(json.dumps(document, ensure_ascii=False))
+        if found is not None:
+            _fail(SYNTAX, f"a string holds the lone surrogate "
+                          f"U+{ord(found.group()):04X}, which UTF-8 cannot encode")
 
 
 def _check_top_level(document: Mapping, allowed: set[str], required: str) -> None:
@@ -283,25 +310,21 @@ def _coerce_attr(object_id: str, cls: str, spec, value: object):
             _fail(SCHEMA, f"{label} must be non-negative", object_id=object_id)
         return value
     if spec.kind == "ts":
-        if not is_timestamp(value):
-            _fail(SCHEMA, f"{label} must be an ISO-8601 timestamp",
-                  object_id=object_id)
+        _check_timestamp(object_id, label, value)
         return value
     if not isinstance(value, str):
         _fail(SCHEMA, f"{label} must be a string", object_id=object_id)
     return value
 
 
-_BASIS_SHAPES: dict[str, set[str]] = {
-    "IntraEU": set(),
-    "AdequacyDecision": {"additionalRequirements", "evidence"},
-    "BCR": {"information", "approved", "legallyBinding"},
-    "StandardContractualClauses": {"approved"},
-    "AdministrativeArrangement": {"authorized"},
-    "CodeOfConductOrCertification": set(),
-    "PublicBodyInstrument": {"authorized"},
-    "Derogation": {"derogation", "details"},
-}
+def _check_timestamp(object_id: str, label: str, value: object) -> None:
+    try:
+        parse_minutes(value)
+    except TimestampRangeError as exc:
+        _fail(SCHEMA, f"{label}: {exc}", object_id=object_id)
+    except TimestampError:
+        _fail(SCHEMA, f"{label} must be an ISO-8601 timestamp",
+              object_id=object_id)
 
 
 def _build_basis(object_id: str, raw: object) -> TransferBasis:
@@ -313,7 +336,7 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
     if kind not in ENUMERATIONS[TRANSFER_BASIS_KIND]:
         _fail(BAD_LITERAL, f"basis kind {kind!r} is not a transfer basis",
               object_id=object_id)
-    allowed = _BASIS_SHAPES[kind]
+    allowed = BASIS_FIELDS[kind]
     unknown = sorted(set(raw) - allowed - {"kind"})
     if unknown:
         _fail(SCHEMA, f"basis fields {', '.join(unknown)} do not belong to a "
@@ -354,13 +377,10 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
         _fail(SCHEMA, f"consultation does not define: {', '.join(unknown)}",
               object_id=object_id)
     requested = raw.get("requestedAt")
-    if not is_timestamp(requested):
-        _fail(SCHEMA, "consultation.requestedAt must be an ISO-8601 timestamp",
-              object_id=object_id)
+    _check_timestamp(object_id, "consultation.requestedAt", requested)
     advice = raw.get("adviceAt")
-    if advice is not None and not is_timestamp(advice):
-        _fail(SCHEMA, "consultation.adviceAt must be an ISO-8601 timestamp",
-              object_id=object_id)
+    if advice is not None:
+        _check_timestamp(object_id, "consultation.adviceAt", advice)
     extended = raw.get("extended", False)
     if not isinstance(extended, bool):
         _fail(SCHEMA, "consultation.extended must be a boolean",
@@ -372,70 +392,124 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-def node_to_object(node: Node) -> dict:
-    """Wire representation of one object, with normalized field order."""
+# Canonical JSON is what json.dumps(document, sort_keys=True,
+# separators=(",", ":"), ensure_ascii=False) would print for the wire form of
+# the graph. It is written object by object from per-class plans, so neither
+# the wire dicts nor the whole text are built to hash it.
+_encode_str = json.encoder.encode_basestring  # json.dumps' ensure_ascii=False escaper
+_encode_open = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                ensure_ascii=False).encode
+_JSON_BOOL = {True: "true", False: "false"}
+_SCALAR_ENCODERS = {"bool": _JSON_BOOL.__getitem__, "int": int.__repr__}
+
+
+def _encode_strs(values: Sequence[str]) -> str:
+    return "[" + ",".join(map(_encode_str, values)) + "]"
+
+
+def _attr_encoder(spec) -> object:
+    if spec.many or spec.kind == "strlist":
+        return _encode_strs
+    return _SCALAR_ENCODERS.get(spec.kind, _encode_str)
+
+
+def _plan(fields) -> tuple[tuple[str, str, object], ...]:
+    """(member prefix, field, encoder) for each (wire name, field, encoder),
+    sorted by wire name."""
+    return tuple((_encode_str(wire) + ":", name, encode)
+                 for wire, name, encode in sorted(fields))
+
+
+def _nested_plan(sample, names) -> tuple[tuple[str, str, object], ...]:
+    """The plan of ``names``; each encoder follows the type of the field's
+    default in ``sample``."""
+    def encoder(default):
+        if isinstance(default, tuple):
+            return _encode_strs
+        return _JSON_BOOL.__getitem__ if isinstance(default, bool) else _encode_str
+    return _plan((name, name, encoder(getattr(sample, name))) for name in names)
+
+
+_BASIS_PLANS = {kind: _nested_plan(TransferBasis(kind), allowed | {"kind"})
+                for kind, allowed in BASIS_FIELDS.items()}
+_CONSULTATION_PLAN = _nested_plan(Consultation(""),
+                                  ("requestedAt", "adviceAt", "extended"))
+
+
+def _encode_nested(value, plan) -> str:
+    """A basis or consultation object; None and empty lists are left out."""
+    return "{" + ",".join([key + encode(field) for key, name, encode in plan
+                           if (field := getattr(value, name)) is not None
+                           and field != ()]) + "}"
+
+
+def _encode_basis(basis: TransferBasis) -> str:
+    return _encode_nested(basis, _BASIS_PLANS[basis.kind])
+
+
+def _encode_consultation(consultation: Consultation) -> str:
+    return _encode_nested(consultation, _CONSULTATION_PLAN)
+
+
+_NESTED_ENCODERS = {"basis": _encode_basis, "consultation": _encode_consultation}
+
+
+# Per typed class, built once: (attr plan, ref plan, the text between the
+# attrs and the id). Attrs are left out when None, refs when empty.
+_ENCODE_PLANS: dict[str, tuple[tuple, tuple, str]] = {}
+for _cls in DATACLASS_FOR:
+    _attrs = [(spec.name, spec.name, _attr_encoder(spec))
+              for spec in CLASS_ATTRS.get(_cls, ())]
+    _attrs += [(name, name, _NESTED_ENCODERS[name])
+               for name in _NESTED_ATTRS.get(_cls, ())]
+    _refs = [(spec.name, spec.field_name, _encode_strs if spec.many else _encode_str)
+             for spec in CLASS_REFS.get(_cls, ())]
+    _ENCODE_PLANS[_cls] = (_plan(_attrs), _plan(_refs),
+                           '},"class":' + _encode_str(_cls) + ',"id":')
+del _cls, _attrs, _refs
+
+_DOCUMENT_TAIL = '],"schemaVersion":' + _encode_str(SUPPORTED_SCHEMA_VERSION) + "}"
+
+
+def _object_json(node: Node) -> str:
     if isinstance(node, GenericNode):
-        refs = {role: (list(ids) if len(ids) != 1 else ids[0])
-                for role, ids in sorted(node.refs.items())}
-        return {"id": node.id, "class": node.cls,
-                "attrs": dict(node.attrs), "refs": refs}
-
-    attrs: dict[str, object] = {}
-    for spec in CLASS_ATTRS.get(node.cls, ()):
-        value = getattr(node, spec.name)
-        if value is None:
-            continue
-        attrs[spec.name] = list(value) if isinstance(value, tuple) else value
-    if isinstance(node, model.DataTransfer):
-        attrs["basis"] = _basis_to_payload(node.basis)
-    if isinstance(node, model.DPIA) and node.consultation is not None:
-        consultation: dict[str, object] = {
-            "requestedAt": node.consultation.requestedAt,
-            "extended": node.consultation.extended,
-        }
-        if node.consultation.adviceAt is not None:
-            consultation["adviceAt"] = node.consultation.adviceAt
-        attrs["consultation"] = consultation
-
-    refs: dict[str, object] = {}
-    for spec in CLASS_REFS.get(node.cls, ()):
-        value = getattr(node, spec.field_name)
-        if spec.many:
-            if value:
-                refs[spec.name] = list(value)
-        elif value:
-            refs[spec.name] = value
-    return {"id": node.id, "class": node.cls, "attrs": attrs, "refs": refs}
+        refs = ",".join([
+            _encode_str(role) + ":"
+            + (_encode_str(ids[0]) if len(ids) == 1 else _encode_strs(ids))
+            for role, ids in sorted(node.refs.items())])
+        return ('{"attrs":' + _encode_open(node.attrs) + ',"class":'
+                + _encode_str(node.cls) + ',"id":' + _encode_str(node.id)
+                + ',"refs":{' + refs + "}}")
+    attr_fields, ref_fields, class_member = _ENCODE_PLANS[node.cls]
+    attrs = ",".join([key + encode(value) for key, name, encode in attr_fields
+                      if (value := getattr(node, name)) is not None])
+    refs = ",".join([key + encode(value) for key, name, encode in ref_fields
+                     if (value := getattr(node, name))])
+    return ('{"attrs":{' + attrs + class_member + _encode_str(node.id)
+            + ',"refs":{' + refs + "}}")
 
 
-def _basis_to_payload(basis: TransferBasis) -> dict:
-    out: dict[str, object] = {"kind": basis.kind}
-    for name in sorted(_BASIS_SHAPES[basis.kind]):
-        value = getattr(basis, name)
-        if isinstance(value, tuple):
-            if value:
-                out[name] = list(value)
-        elif value is not None:
-            out[name] = value
-    return out
-
-
-def graph_to_document(graph: InstanceGraph) -> dict:
-    return {
-        "schemaVersion": SUPPORTED_SCHEMA_VERSION,
-        "objects": [node_to_object(node) for node in graph],
-    }
+def _canonical_chunks(graph: InstanceGraph) -> Iterator[str]:
+    """The canonical document, one fragment per object."""
+    yield '{"objects":['
+    separator = ""
+    for node in graph:
+        yield separator + _object_json(node)
+        separator = ","
+    yield _DOCUMENT_TAIL
 
 
 def serialize_instance(graph: InstanceGraph) -> str:
     """Canonical JSON: objects sorted by id, keys sorted, compact separators."""
-    return json.dumps(graph_to_document(graph), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)
+    return "".join(_canonical_chunks(graph))
 
 
 def graph_fingerprint(graph: InstanceGraph) -> str:
-    blob = serialize_instance(graph).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 of the UTF-8 canonical document, hashed fragment by fragment."""
+    digest = hashlib.sha256()
+    for chunk in _canonical_chunks(graph):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +519,7 @@ def graph_fingerprint(graph: InstanceGraph) -> str:
 def load_profile(data: bytes | str) -> list[Resolution]:
     """Parse a specialization-profile document into schema-checked
     resolutions, in declaration order."""
-    document = _parse_json(data)
+    document = _parse_json(_decode(data))
     _check_top_level(document, {"schemaVersion", "resolutions"}, "resolutions")
     raw_list = document.get("resolutions")
     if not isinstance(raw_list, list):

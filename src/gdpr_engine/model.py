@@ -792,7 +792,7 @@ def _node_invariants(graph: InstanceGraph, node: Node, profile) -> list[Violatio
 
 
 # Basis fields that may be populated per basis kind.
-_BASIS_FIELDS: dict[str, frozenset[str]] = {
+BASIS_FIELDS: dict[str, frozenset[str]] = {
     "IntraEU": frozenset(),
     "AdequacyDecision": frozenset({"additionalRequirements", "evidence"}),
     "BCR": frozenset({"information", "approved", "legallyBinding"}),
@@ -809,11 +809,11 @@ _BASIS_DEFAULTS = TransferBasis("IntraEU")
 def _basis_invariants(node: DataTransfer) -> list[Violation]:
     basis = node.basis
     bad: list[Violation] = []
-    if basis.kind not in _BASIS_FIELDS:
+    if basis.kind not in BASIS_FIELDS:
         bad.append(Violation(BAD_LITERAL, node.id,
                              f"basis kind {basis.kind!r} is not a transfer basis"))
         return bad
-    allowed = _BASIS_FIELDS[basis.kind]
+    allowed = BASIS_FIELDS[basis.kind]
     for f in fields(TransferBasis):
         if f.name == "kind" or f.name in allowed:
             continue

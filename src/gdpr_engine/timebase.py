@@ -8,7 +8,7 @@ statutory windows the rules enforce.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
@@ -36,21 +36,27 @@ FINE_TIER2_FLOOR_CENTS = 20_000_000 * 100
 FINE_TIER2_TURNOVER_PERCENT = 4
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MINUTE = timedelta(minutes=1)
+
 # The instants a report can print: years 1-9999 in UTC.
-_FIRST_MINUTE = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()) // 60
-_LAST_MINUTE = int(datetime(9999, 12, 31, 23, 59,
-                            tzinfo=timezone.utc).timestamp()) // 60
+_FIRST_MINUTE = (datetime(1, 1, 1, tzinfo=timezone.utc) - _EPOCH) // _MINUTE
+_LAST_MINUTE = (datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc) - _EPOCH) // _MINUTE
 
 
 class TimestampError(ValueError):
     """Raised for a timestamp that is not a parseable ISO-8601 instant."""
 
 
+class TimestampRangeError(TimestampError):
+    """Raised for a well-formed instant outside years 1-9999 in UTC."""
+
+
 def parse_minutes(value: str) -> int:
     """Parse an ISO-8601 instant into whole minutes since the Unix epoch.
 
     Accepts 'Z', an explicit offset, or a naive time (treated as UTC).
-    Seconds are truncated toward the minute grid. The instant must fall in
+    Seconds are floored onto the minute grid. The instant must fall in
     years 1-9999 in UTC, so that every parsed value can be printed back.
     """
     if not isinstance(value, str) or not value:
@@ -64,20 +70,10 @@ def parse_minutes(value: str) -> int:
         raise TimestampError(f"bad timestamp {value!r}: {exc}") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    minutes = int(stamp.timestamp()) // 60
+    minutes = (stamp - _EPOCH) // _MINUTE
     if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
-        raise TimestampError(f"timestamp {value!r} falls outside years 1-9999 in UTC")
+        raise TimestampRangeError(f"timestamp {value!r} falls outside years 1-9999 in UTC")
     return minutes
-
-
-def is_timestamp(value: object) -> bool:
-    if not isinstance(value, str):
-        return False
-    try:
-        parse_minutes(value)
-    except TimestampError:
-        return False
-    return True
 
 
 def max_fine_cents(floor_cents: int, percent: int, turnover_cents: int) -> int:

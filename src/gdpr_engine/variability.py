@@ -613,12 +613,6 @@ class SpecializationProfile:
     def finalize(self) -> "SpecializationProfile":
         if self.finalized:
             return self
-        seen: set[str] = set()
-        for resolution in self._resolutions:
-            if resolution.variationId in seen:
-                raise DuplicateResolutionError(
-                    f"{resolution.variationId} resolved twice")
-            seen.add(resolution.variationId)
 
         v1 = self.resolution_params("V1")
         if v1:

@@ -430,3 +430,33 @@ def failing_variants() -> dict[str, dict]:
     register("C35", c35)
 
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lone surrogates: UTF-8 cannot encode U+D800-U+DFFF on their own, and
+# document_bytes writes each as a JSON \uXXXX escape.
+# ---------------------------------------------------------------------------
+
+def _surrogate_in_id(d: dict) -> None:
+    find(d, "demo1")["id"] = "demo\udfff1"
+
+
+def _surrogate_in_attr_value(d: dict) -> None:
+    _set(d, "ctrl", "contactDetails", "desk \ud800")
+
+
+def _surrogate_in_generic_attr_key(d: dict) -> None:
+    find(d, "demo1")["attrs"]["n\udc00te"] = "x"
+
+
+def _surrogate_in_generic_ref_role(d: dict) -> None:
+    refs = find(d, "demo1")["refs"]
+    refs["processing\ud800"] = refs.pop("processing")
+
+
+LONE_SURROGATE_MUTATIONS: dict[str, Callable[[dict], None]] = {
+    "id": _surrogate_in_id,
+    "attr value": _surrogate_in_attr_value,
+    "generic attr key": _surrogate_in_generic_attr_key,
+    "generic ref role": _surrogate_in_generic_ref_role,
+}

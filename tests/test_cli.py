@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from fixtures import compliant_document, document_bytes, failing_variants, find
+from fixtures import (
+    LONE_SURROGATE_MUTATIONS,
+    compliant_document,
+    document_bytes,
+    failing_variants,
+    find,
+    variant,
+)
 from gdpr_engine.cli import main
 
 
@@ -74,6 +81,18 @@ def test_timestamp_attribute_outside_years_1_to_9999_exits_three(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "SCHEMA" in captured.err and "breach1" in captured.err
+    assert "outside years 1-9999" in captured.err
+
+
+@pytest.mark.parametrize("where", list(LONE_SURROGATE_MUTATIONS))
+def test_lone_surrogate_exits_three_without_a_report(where, tmp_path, capsys):
+    document = variant(compliant_document(), LONE_SURROGATE_MUTATIONS[where])
+    path = tmp_path / "surrogate.json"
+    path.write_bytes(document_bytes(document))
+    assert main(["check", "--instance", str(path), "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SYNTAX" in captured.err and "lone surrogate" in captured.err
 
 
 def test_check_strict_mode_exits_two_on_unknown(instance_path, capsys):

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from fixtures import compliant_document, document_bytes, find
+from fixtures import (
+    LONE_SURROGATE_MUTATIONS,
+    compliant_document,
+    document_bytes,
+    find,
+    variant,
+)
 from gdpr_engine import evaluate_all, load_instance, load_profile, serialize_instance
 from gdpr_engine.ingest import (
     BAD_LITERAL,
@@ -21,6 +28,7 @@ from gdpr_engine.ingest import (
     graph_fingerprint,
     serialize_profile,
 )
+from gdpr_engine.timebase import TimestampError, parse_minutes
 from gdpr_engine.variability import Resolution, build_profile
 
 
@@ -134,7 +142,51 @@ def test_timestamp_outside_years_1_to_9999_in_utc_is_rejected(stamp):
     find(document, "cert1")["attrs"]["issuedAt"] = stamp
     error = expect_code(document_bytes(document), SCHEMA)
     assert error.object_id == "cert1"
-    assert "Certification.issuedAt" in str(error)
+    assert str(error) == (f"SCHEMA (object 'cert1'): Certification.issuedAt: "
+                          f"timestamp {stamp!r} falls outside years 1-9999 in UTC")
+
+
+def test_consultation_timestamp_outside_years_1_to_9999_keeps_the_reason():
+    document = compliant_document()
+    consultation = find(document, "dpia1")["attrs"]["consultation"]
+    consultation["adviceAt"] = "9999-12-31T23:59:59-05:00"
+    error = expect_code(document_bytes(document), SCHEMA)
+    assert str(error) == ("SCHEMA (object 'dpia1'): consultation.adviceAt: "
+                          "timestamp '9999-12-31T23:59:59-05:00' falls outside "
+                          "years 1-9999 in UTC")
+
+
+@pytest.mark.parametrize("stamp", ["yesterday", "2023-13-01T00:00:00Z", 20230101])
+def test_malformed_timestamps_keep_the_iso_8601_message(stamp):
+    document = compliant_document()
+    find(document, "cert1")["attrs"]["issuedAt"] = stamp
+    error = expect_code(document_bytes(document), SCHEMA)
+    assert str(error) == ("SCHEMA (object 'cert1'): Certification.issuedAt "
+                          "must be an ISO-8601 timestamp")
+    document = compliant_document()
+    find(document, "dpia1")["attrs"]["consultation"]["requestedAt"] = stamp
+    error = expect_code(document_bytes(document), SCHEMA)
+    assert str(error) == ("SCHEMA (object 'dpia1'): consultation.requestedAt "
+                          "must be an ISO-8601 timestamp")
+
+
+@pytest.mark.parametrize("stamp, minutes", [
+    ("1970-01-01T00:00:00Z", 0),
+    ("1969-12-31T23:59:00Z", -1),
+    ("1969-12-31T23:59:59.5Z", -1),
+    ("1969-12-31T23:58:00.000001Z", -2),
+    ("1970-01-01T00:00:59.999999Z", 0),
+    ("1970-01-01T00:59:00+01:00", -1),
+])
+def test_parse_minutes_floors_onto_the_minute_grid(stamp, minutes):
+    assert parse_minutes(stamp) == minutes
+
+
+def test_parse_minutes_accepts_the_last_microsecond_of_year_9999():
+    last = parse_minutes("9999-12-31T23:59:00Z")
+    assert parse_minutes("9999-12-31T23:59:59.999999Z") == last
+    with pytest.raises(TimestampError):
+        parse_minutes("9999-12-31T23:59:59.999999-00:01")
 
 
 @pytest.mark.parametrize("stamp, printed", [
@@ -199,6 +251,38 @@ def test_class_alias_is_normalized(generic_profile):
     assert graph["dpia1"].cls == "Data_Protection_Impact_Assessment"
     canonical = serialize_instance(graph)
     assert "Data_Protection_Impact_Assessment" in canonical
+
+
+@pytest.mark.parametrize("where", list(LONE_SURROGATE_MUTATIONS))
+def test_lone_surrogate_escape_is_a_syntax_error(where):
+    document = variant(compliant_document(), LONE_SURROGATE_MUTATIONS[where])
+    error = expect_code(document_bytes(document), SYNTAX)
+    assert "lone surrogate" in str(error)
+
+
+@pytest.mark.parametrize("where", list(LONE_SURROGATE_MUTATIONS))
+def test_lone_surrogate_in_a_str_argument_is_a_syntax_error(where):
+    document = variant(compliant_document(), LONE_SURROGATE_MUTATIONS[where])
+    with pytest.raises(LoadError) as excinfo:
+        load_instance(json.dumps(document, ensure_ascii=False))
+    assert excinfo.value.code == SYNTAX
+
+
+def test_paired_surrogate_escapes_and_escaped_backslashes_stay_valid(
+        generic_profile):
+    document = compliant_document()
+    find(document, "ctrl")["attrs"]["contactDetails"] = "desk \U0001F600"
+    find(document, "demo1")["attrs"]["note"] = "C:\\ud800"
+    data = document_bytes(document)
+    assert b"\\ud83d\\ude00" in data and b"\\\\ud800" in data
+    for source in (data, data.decode("ascii"),
+                   json.dumps(document, ensure_ascii=False)):
+        graph = load_instance(source, generic_profile)
+        assert graph["ctrl"].contactDetails == "desk \U0001F600"
+        assert graph["demo1"].attrs["note"] == "C:\\ud800"
+        canonical = serialize_instance(graph)
+        assert graph_fingerprint(graph) == \
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Evaluation work grows linearly with the landscape.
 
-The guard counts graph lookups instead of timing them: the rows returned by
-``InstanceGraph.of_class`` plus the entries returned by
+The guards count instead of timing. One counts graph lookups: the rows
+returned by ``InstanceGraph.of_class`` plus the entries returned by
 ``InstanceGraph.referrers`` during one ``evaluate_all``. A rule that scans a
 whole class once per processing makes the count grow with the square of the
-landscape, about 4x when it doubles.
+landscape, about 4x when it doubles. The other counts the bytes allocated at
+the peak of ``graph_fingerprint``, which streams the canonical document into
+the hash and so holds one object's text at a time.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 from fixtures import compliant_document, failing_variants
-from gdpr_engine import evaluate_all, load_instance
+from gdpr_engine import evaluate_all, graph_fingerprint, load_instance, serialize_instance
 from gdpr_engine.model import InstanceGraph
 
 
@@ -66,3 +69,27 @@ def test_lookup_rows_grow_linearly_with_the_landscape(monkeypatch, generic_profi
         counts[replicas] = lookup_rows(monkeypatch, graph, generic_profile)
     assert counts[1] > 0
     assert counts[2] <= 2.2 * counts[1], counts
+
+
+def fingerprint_peak_bytes(graph) -> int:
+    graph_fingerprint(graph)  # warm up: first-call allocations are not the graph's
+    tracemalloc.start()
+    try:
+        graph_fingerprint(graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fingerprint_memory_does_not_grow_with_the_graph():
+    objects = compliant_document()["objects"]
+    peaks, sizes = {}, {}
+    for replicas in (4, 40):
+        document = {"schemaVersion": "1",
+                    "objects": [prefixed(o, f"r{i}.") for i in range(replicas)
+                                for o in objects]}
+        graph = load_instance(json.dumps(document).encode("utf-8"))
+        sizes[replicas] = len(serialize_instance(graph))
+        peaks[replicas] = fingerprint_peak_bytes(graph)
+    assert peaks[40] < sizes[40] / 10, (peaks, sizes)
+    assert peaks[40] < 1.5 * peaks[4], (peaks, sizes)
