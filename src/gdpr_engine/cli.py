@@ -40,20 +40,40 @@ def _canonical_json(payload) -> str:
                       ensure_ascii=False)
 
 
+def _write_machine(payload) -> None:
+    """Canonical JSON and a newline on standard output, as UTF-8 bytes
+    whatever the stream's encoding; a stream without a byte buffer gets
+    the text."""
+    text = _canonical_json(payload) + "\n"
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
+
+
 def _print_human_report(report: ComplianceReport, stream) -> None:
     color = _use_color(stream)
+    lines = []
     for verdict in report.verdicts:
         status = _paint(f"{verdict.status:<14}",
                         _STATUS_COLORS.get(verdict.status, "0"), color)
-        print(f"{verdict.ruleId:<7}{status}{format_citations([str(a) for a in verdict.articles])}",
-              file=stream)
+        lines.append(f"{verdict.ruleId:<7}{status}"
+                     f"{format_citations([str(a) for a in verdict.articles])}")
         for finding in verdict.findings:
             subject = f"{finding.objectId}: " if finding.objectId else ""
-            print(f"        - {subject}{finding.message}", file=stream)
+            lines.append(f"        - {subject}{finding.message}")
     counts = report.counts()
-    print(f"Pass: {counts[PASS]}  Fail: {counts[FAIL]}  "
-          f"NotApplicable: {counts[NOT_APPLICABLE]}  Unknown: {counts[UNKNOWN]}",
-          file=stream)
+    lines.append(f"Pass: {counts[PASS]}  Fail: {counts[FAIL]}  "
+                 f"NotApplicable: {counts[NOT_APPLICABLE]}  Unknown: {counts[UNKNOWN]}")
+    text = "\n".join(lines) + "\n"
+    # Characters the stream cannot encode are written as backslash escapes.
+    encoding = getattr(stream, "encoding", None)
+    if encoding:
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    stream.write(text)
 
 
 def _load_profile_from_path(path: str | None):
@@ -78,7 +98,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if args.format == "machine":
-        print(_canonical_json(report.to_payload()))
+        _write_machine(report.to_payload())
     else:
         _print_human_report(report, sys.stdout)
     counts = report.counts()
@@ -100,11 +120,11 @@ def cmd_tailor(args: argparse.Namespace) -> int:
 
     entries = profile.resolution_table()
     if args.format == "machine":
-        print(_canonical_json({
+        _write_machine({
             "audit": profile.resolution_table_payload(),
             "activeRules": profile.active_rule_ids(),
             "fingerprint": profile.fingerprint(),
-        }))
+        })
         return EXIT_OK
     if entries:
         width = max(len(e.variationId) for e in entries)

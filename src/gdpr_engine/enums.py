@@ -8,7 +8,7 @@ extensions carried by the active specialization profile.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 ACTOR_TYPE = "Actor_Type"
 RESTRICTION_RIGHT_REASON = "Restriction_Right_Reason"
@@ -343,19 +343,3 @@ def literals(enum_name: str, extensions: Mapping[str, frozenset[str]] | None = N
         return base | extensions[enum_name]
     return base
 
-
-def is_literal(
-    enum_name: str,
-    value: object,
-    extensions: Mapping[str, frozenset[str]] | None = None,
-) -> bool:
-    return isinstance(value, str) and value in literals(enum_name, extensions)
-
-
-def bad_literals(
-    enum_name: str,
-    values: Iterable[object],
-    extensions: Mapping[str, frozenset[str]] | None = None,
-) -> list[object]:
-    allowed = literals(enum_name, extensions)
-    return [v for v in values if not (isinstance(v, str) and v in allowed)]

@@ -13,6 +13,7 @@ fields, so load -> serialize -> load is the identity.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
@@ -27,7 +28,6 @@ from .model import (
     CLASS_REFS,
     DANGLING_REF,
     DATACLASS_FOR,
-    GENERIC_CLASSES,
     INVARIANT,
     Consultation,
     GenericNode,
@@ -93,32 +93,46 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
 
     Enumeration literals are checked against the base sets plus the
     extensions of ``profile`` when one is given.
+
+    Each raw object is dropped as soon as its node is built, so graph
+    construction and validation run without the JSON tree. Loading creates
+    no reference cycles, so cyclic garbage collection is paused meanwhile.
     """
-    text = _decode(data)
-    document = _parse_json(text)
-    _reject_lone_surrogates(data, text, document)
-    _check_top_level(document, {"schemaVersion", "objects"}, "objects")
-    raw_objects = document.get("objects")
-    if not isinstance(raw_objects, list):
-        _fail(SCHEMA, "objects must be a list")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        text = _decode(data)
+        document = _parse_json(text)
+        _reject_lone_surrogates(data, text, document)
+        _check_top_level(document, {"schemaVersion", "objects"}, "objects")
+        raw_objects = document.get("objects")
+        del text, document
+        if not isinstance(raw_objects, list):
+            _fail(SCHEMA, "objects must be a list")
 
-    nodes: list[Node] = []
-    seen: set[str] = set()
-    for position, raw in enumerate(raw_objects):
-        node = _build_node(raw, position)
-        if node.id in seen:
-            _fail(DUPLICATE_ID, f"object id {node.id!r} declared twice",
-                  object_id=node.id)
-        seen.add(node.id)
-        nodes.append(node)
+        nodes: list[Node] = []
+        seen: set[str] = set()
+        for position, raw in enumerate(raw_objects):
+            raw_objects[position] = None
+            node = _build_node(raw, position)
+            if node.id in seen:
+                _fail(DUPLICATE_ID, f"object id {node.id!r} declared twice",
+                      object_id=node.id)
+            seen.add(node.id)
+            nodes.append(node)
+        del raw_objects, seen
 
-    graph = InstanceGraph(nodes)
-    violations = validate_graph(graph, profile)
-    if violations:
-        first = violations[0]
-        raise LoadError(first.code, first.message, object_id=first.objectId,
-                        violations=violations)
-    return graph
+        graph = InstanceGraph(nodes)
+        del nodes
+        violations = validate_graph(graph, profile)
+        if violations:
+            first = violations[0]
+            raise LoadError(first.code, first.message, object_id=first.objectId,
+                            violations=violations)
+        return graph
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _decode(data: bytes | str) -> str:
@@ -170,12 +184,20 @@ def _check_top_level(document: Mapping, allowed: set[str], required: str) -> Non
         _fail(SCHEMA, f"missing top-level key {required!r}")
 
 
+_OBJECT_KEYS = frozenset({"id", "class", "attrs", "refs"})
+
+
+def _unknown(names, allowed: frozenset[str]) -> str:
+    """The names outside ``allowed``, sorted and comma-separated."""
+    return ", ".join(sorted(names - allowed))
+
+
 def _build_node(raw: object, position: int) -> Node:
     if not isinstance(raw, dict):
         _fail(SCHEMA, f"objects[{position}] is not an object")
-    unknown = sorted(set(raw) - {"id", "class", "attrs", "refs"})
-    if unknown:
-        _fail(SCHEMA, f"objects[{position}]: unknown keys {', '.join(unknown)}")
+    if not raw.keys() <= _OBJECT_KEYS:
+        _fail(SCHEMA, f"objects[{position}]: unknown keys "
+                      f"{_unknown(raw.keys(), _OBJECT_KEYS)}")
     object_id = raw.get("id")
     if not isinstance(object_id, str) or not object_id:
         _fail(SCHEMA, f"objects[{position}]: id must be a nonempty string")
@@ -198,10 +220,11 @@ def _build_node(raw: object, position: int) -> Node:
     if not isinstance(refs, dict):
         _fail(SCHEMA, "refs must be an object", object_id=object_id)
 
-    if canonical in GENERIC_CLASSES:
+    plan = _DECODE_PLANS.get(canonical)
+    if plan is None:
         return GenericNode(id=object_id, cls=canonical, attrs=dict(attrs),
                            refs=_generic_refs(object_id, refs))
-    return _build_typed(object_id, canonical, attrs, refs)
+    return _build_typed(object_id, canonical, plan, attrs, refs)
 
 
 def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
@@ -216,40 +239,39 @@ def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def _build_typed(object_id: str, cls: str, attrs: Mapping, refs: Mapping) -> Node:
-    attr_specs, ref_specs, attr_names, ref_names = _TYPED_SPECS[cls]
-
-    unknown = sorted(attrs.keys() - attr_names)
-    if unknown:
-        _fail(SCHEMA, f"{cls} does not define attrs: {', '.join(unknown)}",
-              object_id=object_id)
-    unknown = sorted(refs.keys() - ref_names)
-    if unknown:
-        _fail(SCHEMA, f"{cls} does not define refs: {', '.join(unknown)}",
-              object_id=object_id)
+def _build_typed(object_id: str, cls: str, plan: tuple, attrs: dict,
+                 refs: dict) -> Node:
+    dataclass, attr_steps, ref_steps, nested_steps, attr_names, ref_names = plan
+    if not attrs.keys() <= attr_names:
+        _fail(SCHEMA, f"{cls} does not define attrs: "
+                      f"{_unknown(attrs.keys(), attr_names)}", object_id=object_id)
+    if not refs.keys() <= ref_names:
+        _fail(SCHEMA, f"{cls} does not define refs: "
+                      f"{_unknown(refs.keys(), ref_names)}", object_id=object_id)
 
     kwargs: dict[str, object] = {}
-    for name, spec in attr_specs.items():
-        if name not in attrs or attrs[name] is None:
-            if spec.required:
+    for name, required, decode in attr_steps:
+        value = attrs.get(name)
+        if value is None:
+            if required:
                 _fail(SCHEMA, f"{cls}.{name} is required", object_id=object_id)
             continue
-        kwargs[name] = _coerce_attr(object_id, cls, spec, attrs[name])
+        kwargs[name] = decode(object_id, value)
 
-    for name, spec in ref_specs.items():
+    for name, field_name, required, many in ref_steps:
         value = refs.get(name)
         if value is None:
-            if spec.required:
+            if required:
                 _fail(SCHEMA, f"{cls} ref {name!r} is required",
                       object_id=object_id)
             continue
-        if spec.many:
+        if many:
             ids = value if isinstance(value, list) else [value]
             for target in ids:
                 if not isinstance(target, str) or not target:
                     _fail(SCHEMA, f"{cls} ref {name!r} must hold object ids",
                           object_id=object_id)
-            kwargs[spec.field_name] = tuple(sorted(ids))
+            kwargs[field_name] = tuple(sorted(ids))
         else:
             if isinstance(value, list):
                 if len(value) != 1:
@@ -259,62 +281,54 @@ def _build_typed(object_id: str, cls: str, attrs: Mapping, refs: Mapping) -> Nod
             if not isinstance(value, str) or not value:
                 _fail(SCHEMA, f"{cls} ref {name!r} must hold an object id",
                       object_id=object_id)
-            kwargs[spec.field_name] = value
+            kwargs[field_name] = value
 
-    if cls == "Data_Transfer":
-        kwargs["basis"] = _build_basis(object_id, attrs.get("basis"))
-    if cls == "Data_Protection_Impact_Assessment" and "consultation" in attrs:
-        kwargs["consultation"] = _build_consultation(object_id,
-                                                     attrs["consultation"])
+    for name, required, decode in nested_steps:
+        if required or name in attrs:
+            kwargs[name] = decode(object_id, attrs.get(name))
 
-    return DATACLASS_FOR[cls](id=object_id, cls=cls, **kwargs)
+    return dataclass(id=object_id, cls=cls, **kwargs)
 
 
-_NESTED_ATTRS: dict[str, frozenset[str]] = {
-    "Data_Transfer": frozenset({"basis"}),
-    "Data_Protection_Impact_Assessment": frozenset({"consultation"}),
-}
-
-# Per typed class, built once: (attr specs by name, ref specs by name,
-# allowed attr names including nested ones, allowed ref names).
-_TYPED_SPECS: dict[str, tuple[dict, dict, frozenset[str], frozenset[str]]] = {}
-for _cls in DATACLASS_FOR:
-    _attrs = {spec.name: spec for spec in CLASS_ATTRS.get(_cls, ())}
-    _refs = {spec.name: spec for spec in CLASS_REFS.get(_cls, ())}
-    _TYPED_SPECS[_cls] = (_attrs, _refs,
-                          frozenset(_attrs) | _NESTED_ATTRS.get(_cls, frozenset()),
-                          frozenset(_refs))
-del _cls, _attrs, _refs
-
-
-def _coerce_attr(object_id: str, cls: str, spec, value: object):
+def _attr_decoder(cls: str, spec):
+    """decode(object_id, value) for one attr: checks the value's type and
+    returns the field value. The label is built once, here."""
     label = f"{cls}.{spec.name}"
     if spec.many or spec.kind == "strlist":
-        if isinstance(value, str) or not isinstance(value, list):
-            _fail(SCHEMA, f"{label} must be a list", object_id=object_id)
-        for item in value:
-            if not isinstance(item, str):
-                _fail(SCHEMA, f"{label} entries must be strings",
-                      object_id=object_id)
-        if spec.name in _ORDERED_STR_LISTS:
-            return tuple(value)
-        return tuple(sorted(set(value)))
-    if spec.kind == "bool":
-        if not isinstance(value, bool):
-            _fail(SCHEMA, f"{label} must be a boolean", object_id=object_id)
-        return value
-    if spec.kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(SCHEMA, f"{label} must be an integer", object_id=object_id)
-        if spec.nonneg and value < 0:
-            _fail(SCHEMA, f"{label} must be non-negative", object_id=object_id)
-        return value
-    if spec.kind == "ts":
-        _check_timestamp(object_id, label, value)
-        return value
-    if not isinstance(value, str):
-        _fail(SCHEMA, f"{label} must be a string", object_id=object_id)
-    return value
+        ordered = spec.name in _ORDERED_STR_LISTS
+
+        def decode(object_id: str, value: object):
+            if not isinstance(value, list):
+                _fail(SCHEMA, f"{label} must be a list", object_id=object_id)
+            for item in value:
+                if not isinstance(item, str):
+                    _fail(SCHEMA, f"{label} entries must be strings",
+                          object_id=object_id)
+            return tuple(value) if ordered else tuple(sorted(set(value)))
+    elif spec.kind == "bool":
+        def decode(object_id: str, value: object):
+            if not isinstance(value, bool):
+                _fail(SCHEMA, f"{label} must be a boolean", object_id=object_id)
+            return value
+    elif spec.kind == "int":
+        nonneg = spec.nonneg
+
+        def decode(object_id: str, value: object):
+            if not isinstance(value, int) or isinstance(value, bool):
+                _fail(SCHEMA, f"{label} must be an integer", object_id=object_id)
+            if nonneg and value < 0:
+                _fail(SCHEMA, f"{label} must be non-negative", object_id=object_id)
+            return value
+    elif spec.kind == "ts":
+        def decode(object_id: str, value: object):
+            _check_timestamp(object_id, label, value)
+            return value
+    else:
+        def decode(object_id: str, value: object):
+            if not isinstance(value, str):
+                _fail(SCHEMA, f"{label} must be a string", object_id=object_id)
+            return value
+    return decode
 
 
 def _check_timestamp(object_id: str, label: str, value: object) -> None:
@@ -386,6 +400,33 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
         _fail(SCHEMA, "consultation.extended must be a boolean",
               object_id=object_id)
     return Consultation(requestedAt=requested, adviceAt=advice, extended=extended)
+
+
+# Nested attrs, decoded after the refs: (name, required, decoder). A
+# required one is decoded even when absent, and its decoder reports it.
+_NESTED_STEPS: dict[str, tuple[tuple[str, bool, object], ...]] = {
+    "Data_Transfer": (("basis", True, _build_basis),),
+    "Data_Protection_Impact_Assessment": (("consultation", False, _build_consultation),),
+}
+_NESTED_ATTRS: dict[str, frozenset[str]] = {
+    cls: frozenset(name for name, _, _ in steps) for cls, steps in _NESTED_STEPS.items()}
+
+# Per typed class, built once: (dataclass, (name, required, decoder) per
+# attr, (name, field name, required, many) per ref, the nested steps,
+# allowed attr names, allowed ref names).
+_DECODE_PLANS: dict[str, tuple] = {}
+for _cls, _dataclass in DATACLASS_FOR.items():
+    _attrs = CLASS_ATTRS.get(_cls, ())
+    _refs = CLASS_REFS.get(_cls, ())
+    _DECODE_PLANS[_cls] = (
+        _dataclass,
+        tuple((spec.name, spec.required, _attr_decoder(_cls, spec)) for spec in _attrs),
+        tuple((spec.name, spec.field_name, spec.required, spec.many) for spec in _refs),
+        _NESTED_STEPS.get(_cls, ()),
+        frozenset(spec.name for spec in _attrs) | _NESTED_ATTRS.get(_cls, frozenset()),
+        frozenset(spec.name for spec in _refs),
+    )
+del _cls, _dataclass, _attrs, _refs
 
 
 # ---------------------------------------------------------------------------

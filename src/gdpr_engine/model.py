@@ -14,6 +14,7 @@ whether violations abort a load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 from . import enums
@@ -539,10 +540,10 @@ class InstanceGraph:
     __slots__ = ("_objects", "_rows", "_referrers")
 
     def __init__(self, objects: Sequence[Node]):
-        ordered = sorted(objects, key=lambda n: n.id)
-        if any(not n.id for n in ordered):
-            raise ValueError("object ids must be non-empty")
+        ordered = sorted(objects, key=attrgetter("id"))
         self._objects: dict[str, Node] = {n.id: n for n in ordered}
+        if "" in self._objects:
+            raise ValueError("object ids must be non-empty")
         if len(self._objects) != len(ordered):
             raise ValueError("duplicate object ids in graph")
         rows: dict[str, list[Node]] = {}
@@ -656,9 +657,18 @@ class Violation:
     message: str
 
 
-def _actor_is(graph: InstanceGraph, actor_id: str, classes: frozenset[str]) -> bool:
-    node = graph.get(actor_id)
-    return node is not None and node.cls in classes
+# Per typed class, built once: (ref checks (name, field name, many,
+# targets), enum checks (name, many, enumeration)).
+_CHECK_PLANS: dict[str, tuple[tuple, tuple]] = {
+    cls: (tuple((spec.name, spec.field_name, spec.many, spec.targets)
+                for spec in CLASS_REFS.get(cls, ())),
+          tuple((spec.name, spec.many, spec.enum)
+                for spec in CLASS_ATTRS.get(cls, ()) if spec.enum is not None))
+    for cls in DATACLASS_FOR
+}
+_NO_CHECKS: tuple[tuple, tuple] = ((), ())
+_CHECKED_ENUMS = frozenset(enum for _, checks in _CHECK_PLANS.values()
+                           for _, _, enum in checks)
 
 
 def validate_graph(
@@ -670,40 +680,46 @@ def validate_graph(
     invariant breaches. Deterministic and declaration-order independent.
     """
     extensions = profile.enumExtensions if profile is not None else None
+    allowed = {enum: enums.literals(enum, extensions) for enum in _CHECKED_ENUMS}
+    get = graph.get
     out: list[Violation] = []
     add = out.append
 
     for node in graph:
-        # References resolve to an allowed class.
         if isinstance(node, GenericNode):
-            for role, ids in sorted(node.refs.items()):
+            # References resolve; class membership is checked at load and
+            # attrs are open.
+            for role, ids in node.refs.items():
                 for target in ids:
-                    if target not in graph:
+                    if get(target) is None:
                         add(Violation(DANGLING_REF, node.id,
                                       f"reference {role!r} to missing object {target!r}"))
-        else:
-            for spec in CLASS_REFS.get(node.cls, ()):
-                value = getattr(node, spec.field_name)
-                ids = value if spec.many else ((value,) if value else ())
-                for target in ids:
-                    got = graph.get(target)
-                    if got is None:
-                        add(Violation(DANGLING_REF, node.id,
-                                      f"reference {spec.name!r} to missing object {target!r}"))
-                    elif spec.targets is not None and got.cls not in spec.targets:
-                        add(Violation(DANGLING_REF, node.id,
-                                      f"reference {spec.name!r} resolves to {got.cls}, "
-                                      f"expected one of {sorted(spec.targets)}"))
+            continue
+
+        ref_checks, enum_checks = _CHECK_PLANS.get(node.cls, _NO_CHECKS)
+        # References resolve to an allowed class.
+        for name, field_name, many, targets in ref_checks:
+            value = getattr(node, field_name)
+            for target in (value if many else (value,) if value else ()):
+                got = get(target)
+                if got is None:
+                    add(Violation(DANGLING_REF, node.id,
+                                  f"reference {name!r} to missing object {target!r}"))
+                elif targets is not None and got.cls not in targets:
+                    add(Violation(DANGLING_REF, node.id,
+                                  f"reference {name!r} resolves to {got.cls}, "
+                                  f"expected one of {sorted(targets)}"))
 
         # Enumeration membership.
-        for spec in CLASS_ATTRS.get(node.cls, ()):
-            if spec.enum is None:
+        for name, many, enum in enum_checks:
+            value = getattr(node, name, None)
+            if value is None:
                 continue
-            value = getattr(node, spec.name, None)
-            values = value if spec.many else ((value,) if value is not None else ())
-            for bad in enums.bad_literals(spec.enum, values, extensions):
-                add(Violation(BAD_LITERAL, node.id,
-                              f"{spec.name}: {bad!r} is not a literal of {spec.enum}"))
+            literals = allowed[enum]
+            for literal in (value if many else (value,)):
+                if not (isinstance(literal, str) and literal in literals):
+                    add(Violation(BAD_LITERAL, node.id,
+                                  f"{name}: {literal!r} is not a literal of {enum}"))
 
         # Class invariants.
         out.extend(_node_invariants(graph, node, profile))
@@ -785,8 +801,6 @@ def _node_invariants(graph: InstanceGraph, node: Node, profile) -> list[Violatio
     elif isinstance(node, TurnoverContext):
         if node.worldwideAnnualTurnoverEUR < 0:
             add(Violation(INVARIANT, node.id, "turnover must be non-negative"))
-    elif isinstance(node, GenericNode):
-        pass  # class membership is checked at load; attrs are open
 
     return bad
 

@@ -1923,23 +1923,18 @@ def evaluate_all(graph: InstanceGraph, profile,
 
     minutes = None if check_date is None else timebase.parse_minutes(check_date)
     ctx = EvalContext(graph, profile, minutes, strict)
-    specs = sorted(profile.rules(), key=lambda s: rule_sort_key(s.id))
 
+    # profile.rules() is in catalog order, so the C1 gate runs first.
     gate_passed = True
     verdicts: list[RuleVerdict] = []
-    for spec in specs:
+    for spec in profile.rules():
         if spec.id == "C1":
             verdict = _run_rule(spec, ctx)
             gate_passed = verdict.status != NOT_APPLICABLE
-            verdicts.append(verdict)
+        else:
+            verdict = _run_rule(spec, ctx) if gate_passed else _gate_verdict(spec)
+        verdicts.append(verdict)
 
-    for spec in specs:
-        if spec.id == "C1":
-            continue
-        verdicts.append(_run_rule(spec, ctx) if gate_passed
-                        else _gate_verdict(spec))
-
-    verdicts.sort(key=lambda v: rule_sort_key(v.ruleId))
     summary = {status: 0 for status in STATUSES}
     for verdict in verdicts:
         summary[verdict.status] += 1

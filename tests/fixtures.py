@@ -227,6 +227,15 @@ def drop(document: dict, object_id: str) -> None:
     document["objects"] = [e for e in document["objects"] if e["id"] != object_id]
 
 
+def prefixed(o: dict, prefix: str) -> dict:
+    """Object ``o`` with ``prefix`` before its id and every id it references."""
+    refs = {role: ([prefix + t for t in value] if isinstance(value, list)
+                   else prefix + value)
+            for role, value in o.get("refs", {}).items()}
+    return {"id": prefix + o["id"], "class": o["class"],
+            "attrs": o.get("attrs", {}), "refs": refs}
+
+
 def variant(base: dict, mutate: Callable[[dict], None]) -> dict:
     doc = copy.deepcopy(base)
     mutate(doc)

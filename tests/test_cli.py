@@ -208,3 +208,42 @@ def test_module_entry_point_runs_in_a_subprocess(instance_path):
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["summary"]["Fail"] == 0
+
+
+def _non_ascii_consent_document() -> dict:
+    """The C4 variant with its failing consent renamed ``consé1``."""
+    document = failing_variants()["C4"]
+    find(document, "cons1")["id"] = "consé1"
+    find(document, "p1")["refs"]["consent"] = "consé1"
+    return document
+
+
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+def test_non_ascii_finding_on_an_ascii_stdout_keeps_the_report(fmt, tmp_path,
+                                                                capsys):
+    import os
+    import subprocess
+    import sys
+
+    import gdpr_engine
+
+    path = tmp_path / "instance.json"
+    path.write_bytes(document_bytes(_non_ascii_consent_document()))
+    argv = ["check", "--instance", str(path), "--format", fmt]
+    assert main(argv) == 1
+    in_process = capsys.readouterr().out
+    assert "consé1" in in_process
+
+    source_root = os.path.dirname(os.path.dirname(gdpr_engine.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "gdpr_engine", *argv], capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "GDPR_ENGINE_NO_COLOR": "1",
+             "PYTHONPATH": source_root, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 1, result.stderr
+    assert b"Traceback" not in result.stderr
+    if fmt == "machine":
+        assert result.stdout == in_process.encode("utf-8")
+        assert json.loads(result.stdout) == json.loads(in_process)
+    else:
+        assert result.stdout.decode("ascii") == in_process.replace("é", "\\xe9")

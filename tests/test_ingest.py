@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 
@@ -12,6 +13,7 @@ from fixtures import (
     compliant_document,
     document_bytes,
     find,
+    prefixed,
     variant,
 )
 from gdpr_engine import evaluate_all, load_instance, load_profile, serialize_instance
@@ -283,6 +285,60 @@ def test_paired_surrogate_escapes_and_escaped_backslashes_stay_valid(
         canonical = serialize_instance(graph)
         assert graph_fingerprint(graph) == \
             hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Cyclic garbage collection is paused during a load
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def gc_enabled():
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_load_restores_the_callers_gc_state(gc_enabled):
+    data = document_bytes(compliant_document())
+    load_instance(data)
+    assert gc.isenabled()
+    expect_code(document_bytes(variant(compliant_document(),
+                                       lambda d: find(d, "LU")["attrs"].pop("code"))),
+                SCHEMA)
+    assert gc.isenabled()
+    expect_code(b"[", SYNTAX)
+    assert gc.isenabled()
+
+    gc.disable()
+    load_instance(data)
+    assert not gc.isenabled()
+    expect_code(b"[", SYNTAX)
+    assert not gc.isenabled()
+
+
+def test_no_collection_runs_during_a_load(gc_enabled):
+    objects = compliant_document()["objects"]
+    data = json.dumps({"schemaVersion": "1",
+                       "objects": [prefixed(o, f"r{i}.") for i in range(40)
+                                   for o in objects]}).encode("utf-8")
+    collections = 0
+
+    def count(phase, info):
+        nonlocal collections
+        collections += phase == "start"
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        graph = load_instance(data)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(graph) == 40 * len(objects)
+    assert collections == 0
 
 
 # ---------------------------------------------------------------------------

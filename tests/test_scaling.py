@@ -14,17 +14,9 @@ from __future__ import annotations
 import json
 import tracemalloc
 
-from fixtures import compliant_document, failing_variants
+from fixtures import compliant_document, failing_variants, prefixed
 from gdpr_engine import evaluate_all, graph_fingerprint, load_instance, serialize_instance
 from gdpr_engine.model import InstanceGraph
-
-
-def prefixed(o: dict, prefix: str) -> dict:
-    refs = {role: ([prefix + t for t in value] if isinstance(value, list)
-                   else prefix + value)
-            for role, value in o.get("refs", {}).items()}
-    return {"id": prefix + o["id"], "class": o["class"],
-            "attrs": o.get("attrs", {}), "refs": refs}
 
 
 def replicated(replicas: int) -> bytes:
