@@ -7,7 +7,7 @@ import os
 import sys
 
 from .glossary import glossary_lookup
-from .ingest import LoadError, load_instance, load_profile
+from .ingest import LoadError, canonical_json, load_instance, load_profile
 from .registry import UnknownClassError, format_citations, trace_articles
 from .rules import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, ComplianceReport, evaluate_all
 from .timebase import TimestampError, parse_minutes
@@ -33,18 +33,11 @@ def _paint(text: str, code: str, enabled: bool) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _canonical_json(payload) -> str:
-    import json
-
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
 def _write_machine(payload) -> None:
     """Canonical JSON and a newline on standard output, as UTF-8 bytes
     whatever the stream's encoding; a stream without a byte buffer gets
     the text."""
-    text = _canonical_json(payload) + "\n"
+    text = canonical_json(payload) + "\n"
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         sys.stdout.write(text)

@@ -17,6 +17,7 @@ import gc
 import hashlib
 import json
 import re
+from dataclasses import fields
 from typing import Iterator, Mapping, Sequence
 
 from . import model
@@ -29,6 +30,7 @@ from .model import (
     DANGLING_REF,
     DATACLASS_FOR,
     INVARIANT,
+    NESTED_ATTRS,
     Consultation,
     GenericNode,
     InstanceGraph,
@@ -42,6 +44,7 @@ from .variability import (
     Resolution,
     VARIATION_POINTS,
     VariabilityError,
+    plain_data,
 )
 
 SYNTAX = "SYNTAX"
@@ -103,7 +106,7 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     try:
         text = _decode(data)
         document = _parse_json(text)
-        _reject_lone_surrogates(data, text, document)
+        _reject_lone_surrogates(text, document, from_str=isinstance(data, str))
         _check_top_level(document, {"schemaVersion", "objects"}, "objects")
         raw_objects = document.get("objects")
         del text, document
@@ -158,19 +161,23 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _reject_lone_surrogates(data: bytes | str, text: str, document: dict) -> None:
+def _reject_lone_surrogates(text: str, document: dict, *, from_str: bool) -> None:
     """Reject a string holding a lone surrogate (U+D800-U+DFFF): UTF-8
     cannot encode it, so the canonical document could not be hashed.
 
-    Bytes are decoded strictly and carry none, so only a str argument or a
-    \\uD800-\\uDFFF escape can bring one in; a paired escape decodes to one
-    astral character and is valid.
+    Bytes are decoded strictly and carry none, so only a \\uD800-\\uDFFF
+    escape, or a raw surrogate in text passed as str (``from_str``), can
+    bring one in. Only an escape needs the parsed strings: a paired escape
+    decodes to one astral character and is valid.
     """
-    if _SURROGATE_ESCAPE.search(text) or (isinstance(data, str) and not text.isascii()):
+    found = None
+    if _SURROGATE_ESCAPE.search(text):
         found = _SURROGATE.search(json.dumps(document, ensure_ascii=False))
-        if found is not None:
-            _fail(SYNTAX, f"a string holds the lone surrogate "
-                          f"U+{ord(found.group()):04X}, which UTF-8 cannot encode")
+    elif from_str and not text.isascii():
+        found = _SURROGATE.search(text)
+    if found is not None:
+        _fail(SYNTAX, f"a string holds the lone surrogate "
+                      f"U+{ord(found.group()):04X}, which UTF-8 cannot encode")
 
 
 def _check_top_level(document: Mapping, allowed: set[str], required: str) -> None:
@@ -341,6 +348,13 @@ def _check_timestamp(object_id: str, label: str, value: object) -> None:
               object_id=object_id)
 
 
+# (name, default) of each basis field but the kind, in declaration order. A
+# tuple default means a list of strings, a bool one a boolean, any other a
+# string.
+_BASIS_SCHEMA = tuple((f.name, f.default) for f in fields(TransferBasis)
+                      if f.name != "kind")
+
+
 def _build_basis(object_id: str, raw: object) -> TransferBasis:
     if raw is None:
         _fail(SCHEMA, "Data_Transfer.basis is required", object_id=object_id)
@@ -357,29 +371,21 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
                       f"{kind} basis (exactly one variant may be populated)",
               object_id=object_id)
     kwargs: dict[str, object] = {"kind": kind}
-    for name in ("additionalRequirements", "evidence", "information"):
-        if name in raw:
-            value = raw[name]
-            if isinstance(value, str) or not isinstance(value, list) \
-                    or not all(isinstance(v, str) for v in value):
+    for name, default in _BASIS_SCHEMA:
+        if name not in raw:
+            continue
+        value = raw[name]
+        if isinstance(default, tuple):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 _fail(SCHEMA, f"basis.{name} must be a list of strings",
                       object_id=object_id)
-            kwargs[name] = (tuple(sorted(set(value))) if name == "information"
-                            else tuple(value))
-    for name in ("approved", "legallyBinding", "authorized"):
-        if name in raw:
-            if not isinstance(raw[name], bool):
-                _fail(SCHEMA, f"basis.{name} must be a boolean",
-                      object_id=object_id)
-            kwargs[name] = raw[name]
-    if "derogation" in raw:
-        if not isinstance(raw["derogation"], str):
-            _fail(SCHEMA, "basis.derogation must be a string", object_id=object_id)
-        kwargs["derogation"] = raw["derogation"]
-    if "details" in raw:
-        if not isinstance(raw["details"], str):
-            _fail(SCHEMA, "basis.details must be a string", object_id=object_id)
-        kwargs["details"] = raw["details"]
+            value = tuple(sorted(set(value))) if name == "information" else tuple(value)
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                _fail(SCHEMA, f"basis.{name} must be a boolean", object_id=object_id)
+        elif not isinstance(value, str):
+            _fail(SCHEMA, f"basis.{name} must be a string", object_id=object_id)
+        kwargs[name] = value
     return TransferBasis(**kwargs)
 
 
@@ -402,14 +408,13 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
     return Consultation(requestedAt=requested, adviceAt=advice, extended=extended)
 
 
-# Nested attrs, decoded after the refs: (name, required, decoder). A
-# required one is decoded even when absent, and its decoder reports it.
+# Nested attrs, decoded after the refs: (name, required, decoder) per class.
+_NESTED_DECODERS = {"basis": _build_basis, "consultation": _build_consultation}
 _NESTED_STEPS: dict[str, tuple[tuple[str, bool, object], ...]] = {
-    "Data_Transfer": (("basis", True, _build_basis),),
-    "Data_Protection_Impact_Assessment": (("consultation", False, _build_consultation),),
-}
-_NESTED_ATTRS: dict[str, frozenset[str]] = {
-    cls: frozenset(name for name, _, _ in steps) for cls, steps in _NESTED_STEPS.items()}
+    cls: tuple((spec.name, spec.required, _NESTED_DECODERS[spec.name]) for spec in specs)
+    for cls, specs in NESTED_ATTRS.items()}
+_NESTED_NAMES: dict[str, frozenset[str]] = {
+    cls: frozenset(spec.name for spec in specs) for cls, specs in NESTED_ATTRS.items()}
 
 # Per typed class, built once: (dataclass, (name, required, decoder) per
 # attr, (name, field name, required, many) per ref, the nested steps,
@@ -423,7 +428,7 @@ for _cls, _dataclass in DATACLASS_FOR.items():
         tuple((spec.name, spec.required, _attr_decoder(_cls, spec)) for spec in _attrs),
         tuple((spec.name, spec.field_name, spec.required, spec.many) for spec in _refs),
         _NESTED_STEPS.get(_cls, ()),
-        frozenset(spec.name for spec in _attrs) | _NESTED_ATTRS.get(_cls, frozenset()),
+        frozenset(spec.name for spec in _attrs) | _NESTED_NAMES.get(_cls, frozenset()),
         frozenset(spec.name for spec in _refs),
     )
 del _cls, _dataclass, _attrs, _refs
@@ -433,13 +438,14 @@ del _cls, _dataclass, _attrs, _refs
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-# Canonical JSON is what json.dumps(document, sort_keys=True,
-# separators=(",", ":"), ensure_ascii=False) would print for the wire form of
-# the graph. It is written object by object from per-class plans, so neither
+# Canonical JSON is what json.dumps(value, sort_keys=True,
+# separators=(",", ":"), ensure_ascii=False) prints; ``canonical_json`` writes
+# it for any JSON value. The graph's canonical document is the canonical JSON
+# of its wire form, written object by object from per-class plans, so neither
 # the wire dicts nor the whole text are built to hash it.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False).encode
 _encode_str = json.encoder.encode_basestring  # json.dumps' ensure_ascii=False escaper
-_encode_open = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                ensure_ascii=False).encode
 _JSON_BOOL = {True: "true", False: "false"}
 _SCALAR_ENCODERS = {"bool": _JSON_BOOL.__getitem__, "int": int.__repr__}
 
@@ -502,7 +508,7 @@ for _cls in DATACLASS_FOR:
     _attrs = [(spec.name, spec.name, _attr_encoder(spec))
               for spec in CLASS_ATTRS.get(_cls, ())]
     _attrs += [(name, name, _NESTED_ENCODERS[name])
-               for name in _NESTED_ATTRS.get(_cls, ())]
+               for name in _NESTED_NAMES.get(_cls, ())]
     _refs = [(spec.name, spec.field_name, _encode_strs if spec.many else _encode_str)
              for spec in CLASS_REFS.get(_cls, ())]
     _ENCODE_PLANS[_cls] = (_plan(_attrs), _plan(_refs),
@@ -518,7 +524,7 @@ def _object_json(node: Node) -> str:
             _encode_str(role) + ":"
             + (_encode_str(ids[0]) if len(ids) == 1 else _encode_strs(ids))
             for role, ids in sorted(node.refs.items())])
-        return ('{"attrs":' + _encode_open(node.attrs) + ',"class":'
+        return ('{"attrs":' + canonical_json(node.attrs) + ',"class":'
                 + _encode_str(node.cls) + ',"id":' + _encode_str(node.id)
                 + ',"refs":{' + refs + "}}")
     attr_fields, ref_fields, class_member = _ENCODE_PLANS[node.cls]
@@ -592,20 +598,10 @@ def load_profile(data: bytes | str) -> list[Resolution]:
 
 
 def serialize_profile(resolutions: Sequence[Resolution]) -> str:
-    payload = {
+    return canonical_json({
         "schemaVersion": SUPPORTED_SCHEMA_VERSION,
         "resolutions": [
-            {"variation": r.variationId, "params": _plain_params(r.parameters)}
+            {"variation": r.variationId, "params": plain_data(r.parameters)}
             for r in resolutions
         ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
-def _plain_params(value):
-    if isinstance(value, Mapping):
-        return {k: _plain_params(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain_params(v) for v in value]
-    return value
+    })

@@ -5,6 +5,11 @@ references as object ids; traversal goes through the owning InstanceGraph.
 Field names deliberately mirror the wire schema (camelCase) so instance
 documents, in-memory objects, and findings all speak the same vocabulary.
 
+The typed node classes are generated from one field table
+(``CLASS_ATTRS``/``CLASS_REFS``, defaults in ``AttrSpec``) as frozen,
+slotted dataclasses. A ``GenericNode``'s ``attrs`` and ``refs`` are plain
+dicts: the loader builds them and nothing changes them afterwards.
+
 Graphs are immutable after construction and safe for concurrent reads.
 Structural checking is split in two: ``validate_graph`` returns integrity
 violations as data (it never raises), while the ingestion layer decides
@@ -13,7 +18,7 @@ whether violations abort a load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
@@ -39,166 +44,17 @@ SUBJECT_CLASSES = frozenset({"Data_Subject", "Child_Data_Subject"})
 MEASURE_CLASSES = frozenset({"Technical", "Organizational"})
 CONSENT_GIVER_CLASSES = SUBJECT_CLASSES | {"Responsible_Parent"}
 
-# Classes whose objects get a dedicated dataclass; everything else in the
-# registry is instantiated as a GenericNode with open attributes.
-TYPED_CLASSES = (
-    frozenset({
-        "Country",
-        "Document",
-        "Responsible_Parent",
-        "Personal_Data",
-        "Purpose",
-        "Consent",
-        "Data_Processing",
-        "Right_Support",
-        "Right_Request",
-        "Record_Activity",
-        "Data_Protection_Impact_Assessment",
-        "Breach",
-        "Data_Transfer",
-        "Certification",
-        "Infringement",
-        "Turnover_Context",
-    })
-    | ACTOR_CLASSES
-    | SUBJECT_CLASSES
-    | MEASURE_CLASSES
-)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     cls: str
 
 
-@dataclass(frozen=True)
-class Country(Node):
-    code: str = ""
-    isEUMemberState: bool = False
-    EULawApplies: bool = False
-
-
-@dataclass(frozen=True)
-class DataSubject(Node):
-    ageYears: int = 0
-    residence: str = ""  # Country id
-
-
-@dataclass(frozen=True)
-class ResponsibleParent(Node):
-    documents: tuple[str, ...] = ()
-    responsibleFor: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Document(Node):
-    kind: str = ""
-    valid: bool = False
-
-
-@dataclass(frozen=True)
-class PersonalData(Node):
-    categories: tuple[str, ...] = ()
-    subjects: tuple[str, ...] = ()
-    identifiesSubject: bool = False
-    collectedDirectlyFromSubject: bool = True
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class Purpose(Node):
-    description: str = ""
-    legalBasis: str = "NONE"
-    obligationSource: str | None = None
-
-
-@dataclass(frozen=True)
-class Consent(Node):
-    givenBy: str = ""
-    givenFor: tuple[str, ...] = ()
-    freelyGiven: bool = False
-    specific: bool = False
-    informed: bool = False
-    unambiguous: bool = False
-    affirmativeAction: bool = False
-    withdrawable: bool = False
-    distinguishable: bool = False
-    explicit: bool = False
-    withdrawnAt: str | None = None
-
-
-@dataclass(frozen=True)
-class Actor(Node):
-    kind: str = "LEGAL_PERSON"
-    countries: tuple[str, ...] = ()
-    contactDetails: str = ""
-    cooperatesWithSA: bool = True
-    instructions: tuple[str, ...] = ()       # Data_Processor
-    represents: tuple[str, ...] = ()         # Representative
-    designatedBy: tuple[str, ...] = ()       # Data_Protection_Officer
-    arrangementTransparent: bool = False     # Joint_Controllers
-    arrangementAvailableToSubjects: bool = False
-
-
-@dataclass(frozen=True)
-class RightSupport(Node):
-    right: str = ""
-    enabled: bool = False
-    requests: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RightRequest(Node):
-    receivedAt: str = ""
-    respondedAt: str | None = None
-    granted: bool = False
-    denialReason: str | None = None
-    extensionNotified: bool = False
-    identityVerified: bool = False
-    free: bool = True
-
-
-@dataclass(frozen=True)
-class SecurityMeasure(Node):
-    kind: str = ""
-    description: str = ""
-    lastReviewedAt: str | None = None
-
-
-@dataclass(frozen=True)
-class RecordActivity(Node):
-    holder: str = ""
-    items: tuple[str, ...] = ()
-    electronicForm: bool = True
-
-
-@dataclass(frozen=True)
-class Consultation:
-    requestedAt: str
-    adviceAt: str | None = None
-    extended: bool = False
-
-
-@dataclass(frozen=True)
-class DPIA(Node):
-    motivations: tuple[str, ...] = ()
-    information: tuple[str, ...] = ()
-    residualRisk: str = "LOW"
-    consultation: Consultation | None = None
-
-
-@dataclass(frozen=True)
-class Breach(Node):
-    processing: str = ""
-    risk: str = "LOW"
-    detectedBy: str = ""
-    detectedAt: str = ""
-    recorded: bool = False
-    saNotifiedAt: str | None = None
-    delayJustification: str | None = None
-    subjectsCommunicatedAt: str | None = None
-    controllersInformedAt: str | None = None
+@dataclass(frozen=True, slots=True)
+class GenericNode(Node):
+    attrs: Mapping[str, object] = field(default_factory=dict)
+    refs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -215,107 +71,54 @@ class TransferBasis:
 
 
 @dataclass(frozen=True)
-class DataTransfer(Node):
-    fromCountry: str = ""
-    toCountry: str = ""
-    onward: bool = False
-    basis: TransferBasis = field(default_factory=lambda: TransferBasis("IntraEU"))
-
-
-@dataclass(frozen=True)
-class Certification(Node):
-    holder: str = ""
-    issuedBy: str = ""
-    bodyAccredited: bool = False
-    issuedAt: str = ""
-    processTransparent: bool = False
-    voluntary: bool = False
-
-
-@dataclass(frozen=True)
-class Infringement(Node):
-    kind: str = "OTHER"
-    by: str | None = None
-    imposedFineEUR: int | None = None
-    turnover: str | None = None
-
-
-@dataclass(frozen=True)
-class TurnoverContext(Node):
-    worldwideAnnualTurnoverEUR: int = 0
-
-
-@dataclass(frozen=True)
-class DataProcessing(Node):
-    personalData: tuple[str, ...] = ()
-    purposes: tuple[str, ...] = ()
-    type: str = "OTHER"
-    operations: tuple[str, ...] = ()
-    consent: str | None = None
-    controllers: tuple[str, ...] = ()
-    processors: tuple[str, ...] = ()
-    recipients: tuple[str, ...] = ()
-    securityMeasures: tuple[str, ...] = ()
-    supportedRights: tuple[str, ...] = ()
-    records: tuple[str, ...] = ()
-    dpia: str | None = None
-    transfers: tuple[str, ...] = ()
-    automatedDecisionMaking: bool = False
-    largeScale: bool = False
-    systematicMonitoring: bool = False
-    specialCategoriesException: str | None = None
-    informationProvided: tuple[str, ...] = ()
-    informationExemption: str | None = None
-    rightsExempt: bool = False
-
-
-@dataclass(frozen=True)
-class GenericNode(Node):
-    attrs: Mapping[str, object] = field(default_factory=dict)
-    refs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-
-DATACLASS_FOR: dict[str, type[Node]] = {
-    "Country": Country,
-    "Data_Subject": DataSubject,
-    "Child_Data_Subject": DataSubject,
-    "Responsible_Parent": ResponsibleParent,
-    "Document": Document,
-    "Personal_Data": PersonalData,
-    "Purpose": Purpose,
-    "Consent": Consent,
-    "Data_Processing": DataProcessing,
-    "Right_Support": RightSupport,
-    "Right_Request": RightRequest,
-    "Technical": SecurityMeasure,
-    "Organizational": SecurityMeasure,
-    "Record_Activity": RecordActivity,
-    "Data_Protection_Impact_Assessment": DPIA,
-    "Breach": Breach,
-    "Data_Transfer": DataTransfer,
-    "Certification": Certification,
-    "Infringement": Infringement,
-    "Turnover_Context": TurnoverContext,
-}
-for _actor_cls in ACTOR_CLASSES:
-    DATACLASS_FOR[_actor_cls] = Actor
-del _actor_cls
+class Consultation:
+    requestedAt: str
+    adviceAt: str | None = None
+    extended: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Field specifications: one table drives parsing, serialization, enum checks
-# and referential integrity, so they cannot drift apart.
+# Field specifications: one table declares every typed field and drives the
+# node classes, parsing, serialization, enum checks and referential
+# integrity, so they cannot drift apart.
 # ---------------------------------------------------------------------------
+
+# Python type of each scalar or nested attr kind. Unless a spec gives its
+# default, a list defaults to (), an optional attr to None and any other
+# attr to its type called with no arguments ("", False, 0); _DERIVED marks
+# a spec that gives none.
+_KIND_TYPES = {"str": str, "ts": str, "bool": bool, "int": int,
+               "basis": TransferBasis, "consultation": Consultation}
+_DERIVED = object()
+
 
 @dataclass(frozen=True)
 class AttrSpec:
     name: str
-    kind: str               # "str" | "bool" | "int" | "ts" | "strlist"
+    kind: str               # "str" | "bool" | "int" | "ts" | "strlist" | nested
     required: bool = False
     optional: bool = False  # value may be absent/None
     enum: str | None = None
     many: bool = False      # list of enum literals / strings
     nonneg: bool = False
+    default: object = _DERIVED
+
+    def __post_init__(self) -> None:
+        if self.default is _DERIVED:
+            default = (() if self.many or self.kind == "strlist"
+                       else None if self.optional else _KIND_TYPES[self.kind]())
+            object.__setattr__(self, "default", default)
+
+    @property
+    def field_name(self) -> str:
+        return self.name
+
+    @property
+    def annotation(self) -> object:
+        if self.many or self.kind == "strlist":
+            return tuple[str, ...]
+        kind = _KIND_TYPES[self.kind]
+        return kind | None if self.optional else kind
 
 
 @dataclass(frozen=True)
@@ -324,26 +127,32 @@ class RefSpec:
     targets: frozenset[str] | None   # None: any registered class
     many: bool = False
     required: bool = False
-    py: str | None = None            # dataclass field when it differs
+    py: str | None = None            # node field when it differs
 
     @property
     def field_name(self) -> str:
         return self.py or self.name
 
+    @property
+    def default(self) -> object:
+        return () if self.many else "" if self.required else None
 
-def _a(*args, **kw) -> AttrSpec:
-    return AttrSpec(*args, **kw)
+    @property
+    def annotation(self) -> object:
+        return tuple[str, ...] if self.many else str if self.required else str | None
 
 
-def _r(*args, **kw) -> RefSpec:
-    return RefSpec(*args, **kw)
+_a = AttrSpec
+_r = RefSpec
 
-
+# Every actor class has these; the tables add the fields of the few
+# actor classes that have more.
 _ACTOR_BASE_ATTRS = (
-    _a("kind", "str", required=True, enum=enums.ACTOR_TYPE),
+    _a("kind", "str", required=True, enum=enums.ACTOR_TYPE, default="LEGAL_PERSON"),
     _a("contactDetails", "str"),
-    _a("cooperatesWithSA", "bool"),
+    _a("cooperatesWithSA", "bool", default=True),
 )
+_ACTOR_BASE_REFS = (_r("countries", frozenset({"Country"}), many=True),)
 
 CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
     "Country": (
@@ -358,12 +167,13 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
     "Personal_Data": (
         _a("categories", "str", many=True, enum=enums.DATA_CATEGORY),
         _a("identifiesSubject", "bool"),
-        _a("collectedDirectlyFromSubject", "bool"),
+        _a("collectedDirectlyFromSubject", "bool", default=True),
         _a("source", "str"),
     ),
     "Purpose": (
         _a("description", "str"),
-        _a("legalBasis", "str", required=True, enum=enums.LAWFULNESS_SOURCES),
+        _a("legalBasis", "str", required=True, enum=enums.LAWFULNESS_SOURCES,
+           default="NONE"),
         _a("obligationSource", "str", optional=True),
     ),
     "Consent": (
@@ -378,7 +188,8 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
         _a("withdrawnAt", "ts", optional=True),
     ),
     "Data_Processing": (
-        _a("type", "str", required=True, enum=enums.PROCESSING_CONTEXT),
+        _a("type", "str", required=True, enum=enums.PROCESSING_CONTEXT,
+           default="OTHER"),
         _a("operations", "str", many=True, enum=enums.OPERATION_TYPE),
         _a("automatedDecisionMaking", "bool"),
         _a("largeScale", "bool"),
@@ -401,7 +212,7 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
         _a("denialReason", "str", optional=True),
         _a("extensionNotified", "bool"),
         _a("identityVerified", "bool"),
-        _a("free", "bool"),
+        _a("free", "bool", default=True),
     ),
     "Technical": (
         _a("kind", "str", required=True, enum=enums.TECHNICAL_MEASURE_TYPE),
@@ -415,15 +226,16 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
     ),
     "Record_Activity": (
         _a("items", "str", many=True, enum=enums.RECORD_ITEM),
-        _a("electronicForm", "bool"),
+        _a("electronicForm", "bool", default=True),
     ),
     "Data_Protection_Impact_Assessment": (
         _a("motivations", "str", many=True, enum=enums.DPIA_MOTIVATION),
         _a("information", "str", many=True, enum=enums.DPIA_INFORMATION_TYPE),
-        _a("residualRisk", "str", required=True, enum=enums.RISK_SEVERITY),
+        _a("residualRisk", "str", required=True, enum=enums.RISK_SEVERITY,
+           default="LOW"),
     ),
     "Breach": (
-        _a("risk", "str", required=True, enum=enums.RISK_SEVERITY),
+        _a("risk", "str", required=True, enum=enums.RISK_SEVERITY, default="LOW"),
         _a("detectedAt", "ts", required=True),
         _a("recorded", "bool"),
         _a("saNotifiedAt", "ts", optional=True),
@@ -439,24 +251,30 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
         _a("voluntary", "bool"),
     ),
     "Infringement": (
-        _a("kind", "str", required=True, enum=enums.INFRINGEMENT_TYPE),
+        _a("kind", "str", required=True, enum=enums.INFRINGEMENT_TYPE,
+           default="OTHER"),
         _a("imposedFineEUR", "int", optional=True, nonneg=True),
     ),
     "Turnover_Context": (
         _a("worldwideAnnualTurnoverEUR", "int", required=True, nonneg=True),
     ),
+    "Data_Processor": _ACTOR_BASE_ATTRS + (_a("instructions", "strlist"),),
+    "Joint_Controllers": _ACTOR_BASE_ATTRS + (
+        _a("arrangementTransparent", "bool"),
+        _a("arrangementAvailableToSubjects", "bool"),
+    ),
 }
-for _actor_cls in ACTOR_CLASSES:
-    extra: tuple[AttrSpec, ...] = ()
-    if _actor_cls == "Data_Processor":
-        extra = (_a("instructions", "strlist"),)
-    if _actor_cls == "Joint_Controllers":
-        extra = (
-            _a("arrangementTransparent", "bool"),
-            _a("arrangementAvailableToSubjects", "bool"),
-        )
-    CLASS_ATTRS[_actor_cls] = _ACTOR_BASE_ATTRS + extra
-del _actor_cls, extra
+
+# Attrs holding a nested object. The loader decodes them after the refs; a
+# required one is decoded even when absent, so its decoder reports it.
+NESTED_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
+    "Data_Transfer": (
+        _a("basis", "basis", required=True, default=TransferBasis("IntraEU")),
+    ),
+    "Data_Protection_Impact_Assessment": (
+        _a("consultation", "consultation", optional=True),
+    ),
+}
 
 CLASS_REFS: dict[str, tuple[RefSpec, ...]] = {
     "Country": (),
@@ -509,15 +327,67 @@ CLASS_REFS: dict[str, tuple[RefSpec, ...]] = {
         _r("turnover", frozenset({"Turnover_Context"})),
     ),
     "Turnover_Context": (),
+    "Representative": _ACTOR_BASE_REFS + (_r("represents", ACTOR_CLASSES, many=True),),
+    "Data_Protection_Officer": _ACTOR_BASE_REFS + (
+        _r("designatedBy", ACTOR_CLASSES, many=True),
+    ),
 }
 for _actor_cls in ACTOR_CLASSES:
-    refs: tuple[RefSpec, ...] = (_r("countries", frozenset({"Country"}), many=True),)
-    if _actor_cls == "Representative":
-        refs += (_r("represents", ACTOR_CLASSES, many=True),)
-    if _actor_cls == "Data_Protection_Officer":
-        refs += (_r("designatedBy", ACTOR_CLASSES, many=True),)
-    CLASS_REFS[_actor_cls] = refs
-del _actor_cls, refs
+    CLASS_ATTRS.setdefault(_actor_cls, _ACTOR_BASE_ATTRS)
+    CLASS_REFS.setdefault(_actor_cls, _ACTOR_BASE_REFS)
+del _actor_cls
+
+
+# ---------------------------------------------------------------------------
+# Node classes, generated from the field table
+# ---------------------------------------------------------------------------
+
+DATACLASS_FOR: dict[str, type[Node]] = {}
+
+
+def _node_class(name: str, *wire_classes: str) -> type[Node]:
+    """The frozen, slotted node class of ``wire_classes``: the union of their
+    attr, nested and ref fields, in the order of the sorted class names."""
+    specs: dict[str, AttrSpec | RefSpec] = {}
+    for wire in sorted(wire_classes):
+        for spec in CLASS_ATTRS[wire] + NESTED_ATTRS.get(wire, ()) + CLASS_REFS[wire]:
+            specs.setdefault(spec.field_name, spec)
+    node_class = make_dataclass(
+        name,
+        [(field_name, spec.annotation, field(default=spec.default))
+         for field_name, spec in specs.items()],
+        bases=(Node,), frozen=True, slots=True,
+        # Without it make_dataclass names the module "types" on 3.10/3.11,
+        # and the nodes would not pickle.
+        namespace={"__module__": __name__},
+    )
+    DATACLASS_FOR.update(dict.fromkeys(sorted(wire_classes), node_class))
+    return node_class
+
+
+Country = _node_class("Country", "Country")
+DataSubject = _node_class("DataSubject", *SUBJECT_CLASSES)
+ResponsibleParent = _node_class("ResponsibleParent", "Responsible_Parent")
+Document = _node_class("Document", "Document")
+PersonalData = _node_class("PersonalData", "Personal_Data")
+Purpose = _node_class("Purpose", "Purpose")
+Consent = _node_class("Consent", "Consent")
+Actor = _node_class("Actor", *ACTOR_CLASSES)
+RightSupport = _node_class("RightSupport", "Right_Support")
+RightRequest = _node_class("RightRequest", "Right_Request")
+SecurityMeasure = _node_class("SecurityMeasure", *MEASURE_CLASSES)
+RecordActivity = _node_class("RecordActivity", "Record_Activity")
+DPIA = _node_class("DPIA", "Data_Protection_Impact_Assessment")
+Breach = _node_class("Breach", "Breach")
+DataTransfer = _node_class("DataTransfer", "Data_Transfer")
+Certification = _node_class("Certification", "Certification")
+Infringement = _node_class("Infringement", "Infringement")
+TurnoverContext = _node_class("TurnoverContext", "Turnover_Context")
+DataProcessing = _node_class("DataProcessing", "Data_Processing")
+
+# Classes with a typed node class; everything else in the registry is
+# instantiated as a GenericNode with open attributes.
+TYPED_CLASSES = frozenset(DATACLASS_FOR)
 
 GENERIC_CLASSES = frozenset(
     name for name in TRACEABILITY
@@ -817,9 +687,6 @@ BASIS_FIELDS: dict[str, frozenset[str]] = {
     "Derogation": frozenset({"derogation", "details"}),
 }
 
-_BASIS_DEFAULTS = TransferBasis("IntraEU")
-
-
 def _basis_invariants(node: DataTransfer) -> list[Violation]:
     basis = node.basis
     bad: list[Violation] = []
@@ -831,7 +698,7 @@ def _basis_invariants(node: DataTransfer) -> list[Violation]:
     for f in fields(TransferBasis):
         if f.name == "kind" or f.name in allowed:
             continue
-        if getattr(basis, f.name) != getattr(_BASIS_DEFAULTS, f.name):
+        if getattr(basis, f.name) != f.default:
             bad.append(Violation(INVARIANT, node.id,
                                  f"basis field {f.name!r} does not belong to "
                                  f"a {basis.kind} basis"))

@@ -192,14 +192,6 @@ def trace_articles(class_name: str) -> list[str]:
     return list(TRACEABILITY[canonical_class_name(class_name)])
 
 
-def is_registered(class_name: str) -> bool:
-    try:
-        canonical_class_name(class_name)
-    except UnknownClassError:
-        return False
-    return True
-
-
 def format_citations(citations: list[str] | tuple[str, ...]) -> str:
     """Render citations the way the traceability tables read.
 

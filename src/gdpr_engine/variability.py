@@ -681,7 +681,7 @@ class SpecializationProfile:
                 for name, values in sorted(self._enum_extensions.items())
             },
             "parameters": {
-                r.variationId: _plain(r.parameters)
+                r.variationId: plain_data(r.parameters)
                 for r in sorted(self._resolutions, key=lambda r: r.variationId)
             },
         }
@@ -699,11 +699,13 @@ _VARIATION_FOR_PARAMETER_HOOK = {
 }
 
 
-def _plain(value):
+def plain_data(value):
+    """``value`` with every mapping as a key-sorted dict and every list or
+    tuple as a list."""
     if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in sorted(value.items())}
+        return {k: plain_data(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [plain_data(v) for v in value]
     return value
 
 

@@ -16,7 +16,7 @@ from fixtures import (
     prefixed,
     variant,
 )
-from gdpr_engine import evaluate_all, load_instance, load_profile, serialize_instance
+from gdpr_engine import evaluate_all, ingest, load_instance, load_profile, serialize_instance
 from gdpr_engine.ingest import (
     BAD_LITERAL,
     DANGLING_REF,
@@ -268,6 +268,20 @@ def test_lone_surrogate_in_a_str_argument_is_a_syntax_error(where):
     with pytest.raises(LoadError) as excinfo:
         load_instance(json.dumps(document, ensure_ascii=False))
     assert excinfo.value.code == SYNTAX
+
+
+def test_non_ascii_str_document_loads_without_redumping(monkeypatch,
+                                                      generic_profile):
+    document = compliant_document()
+    find(document, "ctrl")["attrs"]["contactDetails"] = "bureau é"
+    text = json.dumps(document, ensure_ascii=False)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("the parsed document was dumped again")
+
+    monkeypatch.setattr(ingest.json, "dumps", no_dumps)
+    graph = load_instance(text, generic_profile)
+    assert graph["ctrl"].contactDetails == "bureau é"
 
 
 def test_paired_surrogate_escapes_and_escaped_backslashes_stay_valid(

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+import gdpr_engine
 from gdpr_engine.model import (
+    DATACLASS_FOR,
     Actor,
     Breach,
     Consent,
@@ -217,3 +224,114 @@ def test_latest_timestamp_scan():
 def test_duplicate_ids_rejected_by_the_container():
     with pytest.raises(ValueError):
         graph_of(LU, Country(id="LU", cls="Country", code="LU"))
+
+
+# ---------------------------------------------------------------------------
+# Node classes: field names and defaults, slots, hash-seed independence
+# ---------------------------------------------------------------------------
+
+_ACTORS = ("Certification_Body", "Data_Controller", "Data_Processor",
+           "Data_Protection_Officer", "Joint_Controllers", "Recipient",
+           "Representative", "Supervisory_Authority", "Third_Party",
+           "Undertaking")
+
+# Every field but id and cls of a node built with only id and cls, by name,
+# per group of wire classes sharing a node class.
+NODE_SCHEMA = {
+    ("Breach",): [
+        ("controllersInformedAt", None), ("delayJustification", None),
+        ("detectedAt", ""), ("detectedBy", ""), ("processing", ""),
+        ("recorded", False), ("risk", "LOW"), ("saNotifiedAt", None),
+        ("subjectsCommunicatedAt", None)],
+    ("Certification",): [
+        ("bodyAccredited", False), ("holder", ""), ("issuedAt", ""),
+        ("issuedBy", ""), ("processTransparent", False), ("voluntary", False)],
+    _ACTORS: [
+        ("arrangementAvailableToSubjects", False),
+        ("arrangementTransparent", False), ("contactDetails", ""),
+        ("cooperatesWithSA", True), ("countries", ()), ("designatedBy", ()),
+        ("instructions", ()), ("kind", "LEGAL_PERSON"), ("represents", ())],
+    ("Child_Data_Subject", "Data_Subject"): [("ageYears", 0), ("residence", "")],
+    ("Consent",): [
+        ("affirmativeAction", False), ("distinguishable", False),
+        ("explicit", False), ("freelyGiven", False), ("givenBy", ""),
+        ("givenFor", ()), ("informed", False), ("specific", False),
+        ("unambiguous", False), ("withdrawable", False), ("withdrawnAt", None)],
+    ("Country",): [("EULawApplies", False), ("code", ""), ("isEUMemberState", False)],
+    ("Data_Processing",): [
+        ("automatedDecisionMaking", False), ("consent", None),
+        ("controllers", ()), ("dpia", None), ("informationExemption", None),
+        ("informationProvided", ()), ("largeScale", False), ("operations", ()),
+        ("personalData", ()), ("processors", ()), ("purposes", ()),
+        ("recipients", ()), ("records", ()), ("rightsExempt", False),
+        ("securityMeasures", ()), ("specialCategoriesException", None),
+        ("supportedRights", ()), ("systematicMonitoring", False),
+        ("transfers", ()), ("type", "OTHER")],
+    ("Data_Protection_Impact_Assessment",): [
+        ("consultation", None), ("information", ()), ("motivations", ()),
+        ("residualRisk", "LOW")],
+    ("Data_Transfer",): [
+        ("basis", TransferBasis("IntraEU")), ("fromCountry", ""),
+        ("onward", False), ("toCountry", "")],
+    ("Document",): [("kind", ""), ("valid", False)],
+    ("Infringement",): [
+        ("by", None), ("imposedFineEUR", None), ("kind", "OTHER"),
+        ("turnover", None)],
+    ("Organizational", "Technical"): [
+        ("description", ""), ("kind", ""), ("lastReviewedAt", None)],
+    ("Personal_Data",): [
+        ("categories", ()), ("collectedDirectlyFromSubject", True),
+        ("identifiesSubject", False), ("source", ""), ("subjects", ())],
+    ("Purpose",): [
+        ("description", ""), ("legalBasis", "NONE"), ("obligationSource", None)],
+    ("Record_Activity",): [("electronicForm", True), ("holder", ""), ("items", ())],
+    ("Responsible_Parent",): [("documents", ()), ("responsibleFor", ())],
+    ("Right_Request",): [
+        ("denialReason", None), ("extensionNotified", False), ("free", True),
+        ("granted", False), ("identityVerified", False), ("receivedAt", ""),
+        ("respondedAt", None)],
+    ("Right_Support",): [("enabled", False), ("requests", ()), ("right", "")],
+    ("Turnover_Context",): [("worldwideAnnualTurnoverEUR", 0)],
+}
+
+
+def test_every_typed_class_keeps_its_field_names_and_defaults():
+    assert sorted(w for group in NODE_SCHEMA for w in group) == sorted(DATACLASS_FOR)
+    for group, expected in NODE_SCHEMA.items():
+        for wire in group:
+            node = DATACLASS_FOR[wire](id="x", cls=wire)
+            got = sorted((f.name, getattr(node, f.name)) for f in fields(node))
+            assert got == sorted(expected + [("cls", wire), ("id", "x")]), wire
+
+
+def test_nodes_are_slotted_frozen_and_pickle():
+    nodes = [cls(id="x", cls=wire) for wire, cls in DATACLASS_FOR.items()]
+    nodes.append(GenericNode(id="g", cls="Notification", attrs={"a": 1},
+                             refs={"processing": ("p",)}))
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), node.cls
+        with pytest.raises(FrozenInstanceError):
+            node.id = "y"
+        # A name that is not a field has no slot. Which error says so
+        # depends on the Python version (3.11 raises TypeError from the
+        # frozen __setattr__ of a slotted class).
+        with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+            node.undeclared = 1
+        assert not hasattr(node, "undeclared")
+        assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_node_field_order_does_not_follow_the_hash_seed():
+    source_root = os.path.dirname(os.path.dirname(gdpr_engine.__file__))
+    script = ("from dataclasses import fields\n"
+              "from gdpr_engine.model import Actor\n"
+              "print([f.name for f in fields(Actor)])")
+    orders = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, check=True,
+                       env={"PATH": "/usr/bin:/bin", "PYTHONPATH": source_root,
+                            "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert orders[0] == orders[1]
+    assert "kind" in orders[0]
