@@ -152,6 +152,10 @@ def _parse_json(text: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(SYNTAX, exc.msg, line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        _fail(SYNTAX, "document nests deeper than the parser allows")
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        _fail(SYNTAX, "a number has more digits than the parser allows")
     if not isinstance(document, dict):
         _fail(SCHEMA, "document root must be an object")
     return document

@@ -11,9 +11,11 @@ slotted dataclasses. A ``GenericNode``'s ``attrs`` and ``refs`` are plain
 dicts: the loader builds them and nothing changes them afterwards.
 
 Graphs are immutable after construction and safe for concurrent reads.
-Structural checking is split in two: ``validate_graph`` returns integrity
-violations as data (it never raises), while the ingestion layer decides
-whether violations abort a load.
+A graph proves its references when it is built: one walk records every
+dangling or wrong-class reference, and nothing downstream checks a target
+again. Structural checking is split in two: ``validate_graph`` returns
+integrity violations as data (it never raises), while the ingestion layer
+decides whether violations abort a load.
 """
 
 from __future__ import annotations
@@ -402,12 +404,15 @@ GENERIC_CLASSES = frozenset(
 class InstanceGraph:
     """Reference-resolved, id-sorted set of model objects. Immutable.
 
-    Construction indexes the graph once: the id-sorted rows of every class
-    and of each class expansion, and the referrers along the roles that
-    rules navigate backwards. Lookups then return stored tuples.
+    Construction walks every reference once. It indexes the id-sorted rows
+    of every class and class expansion and the referrers along the roles
+    that rules navigate backwards, and records in ``ref_violations`` each
+    reference that does not resolve to an allowed class. A node whose Python
+    class does not match its ``cls`` raises ``ValueError``. Lookups then
+    return stored tuples.
     """
 
-    __slots__ = ("_objects", "_rows", "_referrers")
+    __slots__ = ("_objects", "_rows", "_referrers", "_ref_violations")
 
     def __init__(self, objects: Sequence[Node]):
         ordered = sorted(objects, key=attrgetter("id"))
@@ -416,25 +421,52 @@ class InstanceGraph:
             raise ValueError("object ids must be non-empty")
         if len(self._objects) != len(ordered):
             raise ValueError("duplicate object ids in graph")
+        get = self._objects.get
         rows: dict[str, list[Node]] = {}
         referrers: dict[tuple[str, str, str], list[Node]] = {}
+        bad: list[Violation] = []
         for node in ordered:
             cls = node.cls
+            node_class = DATACLASS_FOR.get(cls, GenericNode)
+            if type(node) is not node_class:
+                raise ValueError(f"object {node.id!r} of class {cls} must be a "
+                                 f"{node_class.__name__}, not a {type(node).__name__}")
             rows.setdefault(cls, []).append(node)
             expansion = _EXPANSION_OF.get(cls)
             if expansion is not None and expansion != cls:
                 rows.setdefault(expansion, []).append(node)
-            if isinstance(node, GenericNode):
-                roles = node.refs.items()
-            elif cls in _BACKWARD_ROLES:
-                roles = [(role, getattr(node, role)) for role in _BACKWARD_ROLES[cls]]
+            if node_class is GenericNode:
+                # Generic refs must resolve; their targets are open.
+                refs = [(role, ids, None, True) for role, ids in node.refs.items()]
             else:
-                continue
-            for role, ids in roles:
-                for target in set(ids):
-                    referrers.setdefault((target, cls, role), []).append(node)
+                refs = []
+                for name, field_name, many, targets, backward in _REF_PLANS[cls]:
+                    value = getattr(node, field_name)
+                    ids = value if many else (value,) if value else ()
+                    refs.append((name, ids, targets, backward))
+            for name, ids, targets, backward in refs:
+                for target in ids:
+                    got = get(target)
+                    if got is None:
+                        bad.append(Violation(
+                            DANGLING_REF, node.id,
+                            f"reference {name!r} to missing object {target!r}"))
+                    elif targets is not None and got.cls not in targets:
+                        bad.append(Violation(
+                            DANGLING_REF, node.id,
+                            f"reference {name!r} resolves to {got.cls}, "
+                            f"expected one of {sorted(targets)}"))
+                if backward:
+                    for target in set(ids):
+                        referrers.setdefault((target, cls, name), []).append(node)
         self._rows = {name: tuple(nodes) for name, nodes in rows.items()}
         self._referrers = {key: tuple(nodes) for key, nodes in referrers.items()}
+        self._ref_violations = tuple(bad)
+
+    @property
+    def ref_violations(self) -> tuple[Violation, ...]:
+        """One ``DANGLING_REF`` per missing or wrong-class target, by id."""
+        return self._ref_violations
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -466,10 +498,6 @@ class InstanceGraph:
     def resolve(self, ids: Sequence[str]) -> list[Node]:
         return [self._objects[i] for i in ids if i in self._objects]
 
-    def processings(self) -> list[DataProcessing]:
-        return [n for n in self.of_class("Data_Processing")
-                if isinstance(n, DataProcessing)]
-
     def latest_minutes(self) -> int:
         """Latest timestamp in the graph, in minutes; 0 for a dateless graph."""
         latest = 0
@@ -490,10 +518,20 @@ _EXPANSION_OF: dict[str, str] = {
     **dict.fromkeys(MEASURE_CLASSES, "Security_Measure"),
 }
 
-# Typed roles that rules navigate from target to referrer.
+# Typed roles that rules navigate from target to referrer. Indexing every
+# typed role would cost memory for lookups no rule makes.
 _BACKWARD_ROLES: dict[str, tuple[str, ...]] = {
     "Data_Protection_Officer": ("designatedBy",),
     "Representative": ("represents",),
+}
+
+# Per typed class, built once: (name, field name, many, allowed target
+# classes, indexed backwards) per ref.
+_REF_PLANS: dict[str, tuple[tuple, ...]] = {
+    cls: tuple((spec.name, spec.field_name, spec.many, spec.targets,
+                spec.name in _BACKWARD_ROLES.get(cls, ()))
+               for spec in CLASS_REFS[cls])
+    for cls in DATACLASS_FOR
 }
 
 
@@ -527,17 +565,13 @@ class Violation:
     message: str
 
 
-# Per typed class, built once: (ref checks (name, field name, many,
-# targets), enum checks (name, many, enumeration)).
-_CHECK_PLANS: dict[str, tuple[tuple, tuple]] = {
-    cls: (tuple((spec.name, spec.field_name, spec.many, spec.targets)
-                for spec in CLASS_REFS.get(cls, ())),
-          tuple((spec.name, spec.many, spec.enum)
-                for spec in CLASS_ATTRS.get(cls, ()) if spec.enum is not None))
+# Per typed class, built once: (name, many, enumeration) per enum attr.
+_ENUM_PLANS: dict[str, tuple[tuple, ...]] = {
+    cls: tuple((spec.name, spec.many, spec.enum)
+               for spec in CLASS_ATTRS[cls] if spec.enum is not None)
     for cls in DATACLASS_FOR
 }
-_NO_CHECKS: tuple[tuple, tuple] = ((), ())
-_CHECKED_ENUMS = frozenset(enum for _, checks in _CHECK_PLANS.values()
+_CHECKED_ENUMS = frozenset(enum for checks in _ENUM_PLANS.values()
                            for _, _, enum in checks)
 
 
@@ -545,40 +579,20 @@ def validate_graph(
     graph: InstanceGraph,
     profile=None,
 ) -> list[Violation]:
-    """Integrity violations of the graph: dangling references, enumeration
-    literals outside the (possibly profile-extended) sets, and class
-    invariant breaches. Deterministic and declaration-order independent.
+    """Integrity violations of the graph: the references that construction
+    found dangling or of a wrong class, enumeration literals outside the
+    (possibly profile-extended) sets, and class invariant breaches.
+    Deterministic and declaration-order independent.
     """
     extensions = profile.enumExtensions if profile is not None else None
     allowed = {enum: enums.literals(enum, extensions) for enum in _CHECKED_ENUMS}
-    get = graph.get
-    out: list[Violation] = []
+    out: list[Violation] = list(graph.ref_violations)
     add = out.append
 
     for node in graph:
-        if isinstance(node, GenericNode):
-            # References resolve; class membership is checked at load and
-            # attrs are open.
-            for role, ids in node.refs.items():
-                for target in ids:
-                    if get(target) is None:
-                        add(Violation(DANGLING_REF, node.id,
-                                      f"reference {role!r} to missing object {target!r}"))
-            continue
-
-        ref_checks, enum_checks = _CHECK_PLANS.get(node.cls, _NO_CHECKS)
-        # References resolve to an allowed class.
-        for name, field_name, many, targets in ref_checks:
-            value = getattr(node, field_name)
-            for target in (value if many else (value,) if value else ()):
-                got = get(target)
-                if got is None:
-                    add(Violation(DANGLING_REF, node.id,
-                                  f"reference {name!r} to missing object {target!r}"))
-                elif targets is not None and got.cls not in targets:
-                    add(Violation(DANGLING_REF, node.id,
-                                  f"reference {name!r} resolves to {got.cls}, "
-                                  f"expected one of {sorted(targets)}"))
+        enum_checks = _ENUM_PLANS.get(node.cls)
+        if enum_checks is None:
+            continue  # a generic node: its attrs are open
 
         # Enumeration membership.
         for name, many, enum in enum_checks:

@@ -7,9 +7,12 @@ applicability gate: when the scope rule C1 does not hold, every other rule
 reports NotApplicable. Unknown is produced only in strict-variability mode,
 when a verdict depended on a variation hook that no resolution implemented.
 
-Rules never mutate the graph, never raise on odd data, and iterate objects
-in id order, so reports are deterministic and independent of declaration
-order. Report assembly preserves catalog order.
+Evaluation takes a graph whose references resolve: ``EvalContext`` refuses
+any other with ``ValueError``, so rules navigate references without
+checking their targets again. On such a graph, rules never mutate it, never
+raise on odd data, and iterate objects in id order, so reports are
+deterministic and independent of declaration order. Report assembly
+preserves catalog order.
 """
 
 from __future__ import annotations
@@ -21,21 +24,15 @@ from typing import Callable, Mapping, Sequence
 from . import enums, timebase
 from .model import (
     Actor,
-    Breach,
-    Certification,
     Consent,
-    Country,
     DataProcessing,
     DataSubject,
     DataTransfer,
-    Document,
-    DPIA,
     GenericNode,
     Infringement,
     InstanceGraph,
     PersonalData,
     Purpose,
-    RecordActivity,
     ResponsibleParent,
     RightRequest,
     RightSupport,
@@ -203,11 +200,17 @@ class EvalContext:
     """Per-evaluation view over (graph, profile, check date).
 
     Tracks which variation hooks were answered by their built-in default so
-    strict mode can demote the affected verdicts to Unknown.
+    strict mode can demote the affected verdicts to Unknown. The graph's
+    references must resolve; a graph with any ``ref_violations`` raises
+    ``ValueError`` naming the first.
     """
 
     def __init__(self, graph: InstanceGraph, profile=None,
                  check_minutes: int | None = None, strict: bool = False):
+        if graph.ref_violations:
+            first = graph.ref_violations[0]
+            raise ValueError(f"cannot evaluate a graph whose references do not "
+                             f"resolve: {first.objectId}: {first.message}")
         self.graph = graph
         self.profile = profile
         self.check_minutes = (graph.latest_minutes()
@@ -249,17 +252,16 @@ class EvalContext:
         involved and the processing context is not out of material scope."""
         if self._scope is None:
             self._scope = [
-                p for p in self.graph.processings()
+                p for p in self.graph.of_class("Data_Processing")
                 if p.personalData and p.type not in enums.EXEMPT_PROCESSING_CONTEXTS
             ]
         return self._scope
 
     def personal_data(self, p: DataProcessing) -> list[PersonalData]:
-        return [n for n in self.graph.resolve(p.personalData)
-                if isinstance(n, PersonalData)]
+        return self.graph.resolve(p.personalData)
 
     def purposes(self, p: DataProcessing) -> list[Purpose]:
-        return [n for n in self.graph.resolve(p.purposes) if isinstance(n, Purpose)]
+        return self.graph.resolve(p.purposes)
 
     def bases(self, p: DataProcessing) -> set[str]:
         return {pu.legalBasis for pu in self.purposes(p)}
@@ -274,22 +276,20 @@ class EvalContext:
         seen: dict[str, DataSubject] = {}
         for pd in self.personal_data(p):
             for node in self.graph.resolve(pd.subjects):
-                if isinstance(node, DataSubject):
-                    seen[node.id] = node
+                seen[node.id] = node
         return [seen[i] for i in sorted(seen)]
 
     def consent_of(self, p: DataProcessing) -> Consent | None:
-        node = self.graph.get(p.consent) if p.consent else None
-        return node if isinstance(node, Consent) else None
+        return self.graph.get(p.consent) if p.consent else None
 
     def consent_based(self, p: DataProcessing) -> bool:
         return p.consent is not None or "BY_CONSENT" in self.bases(p)
 
     def controllers(self, p: DataProcessing) -> list[Actor]:
-        return [a for a in self.graph.resolve(p.controllers) if isinstance(a, Actor)]
+        return self.graph.resolve(p.controllers)
 
     def processors(self, p: DataProcessing) -> list[Actor]:
-        return [a for a in self.graph.resolve(p.processors) if isinstance(a, Actor)]
+        return self.graph.resolve(p.processors)
 
     def actors(self, p: DataProcessing) -> list[Actor]:
         seen: dict[str, Actor] = {}
@@ -298,29 +298,20 @@ class EvalContext:
         return [seen[i] for i in sorted(seen)]
 
     def euro_link(self, actor: Actor) -> bool:
-        for node in self.graph.resolve(actor.countries):
-            if isinstance(node, Country) and (node.isEUMemberState or node.EULawApplies):
-                return True
-        return False
+        return any(c.isEUMemberState or c.EULawApplies
+                   for c in self.graph.resolve(actor.countries))
 
     def measures(self, p: DataProcessing, cls: str) -> list[SecurityMeasure]:
-        return [m for m in self.graph.resolve(p.securityMeasures)
-                if isinstance(m, SecurityMeasure) and m.cls == cls]
+        return [m for m in self.graph.resolve(p.securityMeasures) if m.cls == cls]
 
     def supports(self, p: DataProcessing) -> list[RightSupport]:
-        return [s for s in self.graph.resolve(p.supportedRights)
-                if isinstance(s, RightSupport)]
+        return self.graph.resolve(p.supportedRights)
 
     def requests(self, support: RightSupport) -> list[RightRequest]:
-        return [r for r in self.graph.resolve(support.requests)
-                if isinstance(r, RightRequest)]
+        return self.graph.resolve(support.requests)
 
     def identifiable(self, p: DataProcessing) -> bool:
         return any(pd.identifiesSubject for pd in self.personal_data(p))
-
-    def generic_nodes(self, class_name: str) -> list[GenericNode]:
-        return [n for n in self.graph.of_class(class_name)
-                if isinstance(n, GenericNode)]
 
     def notification_for(self, p: DataProcessing, about: str) -> GenericNode | None:
         for node in self.graph.referrers(p.id, "Notification", "processing"):
@@ -393,18 +384,13 @@ def _hook_minimum_age(ctx: EvalContext, params, subject: DataSubject,
                       processing: DataProcessing | None) -> int:
     if not params:
         return 16
-    thresholds = params.get("thresholds", {})
-    country = ctx.graph.get(subject.residence) if subject.residence else None
-    code = country.code if isinstance(country, Country) else None
-    return int(thresholds.get(code, params.get("default", 16)))
+    return ctx.profile.minimum_age(ctx.graph, subject, processing)
 
 
 def _hook_parent_documents(ctx: EvalContext, params,
                            parent: ResponsibleParent) -> bool:
-    docs = [d for d in ctx.graph.resolve(parent.documents)
-            if isinstance(d, Document)]
     accepted = set(params.get("acceptedDocumentKinds", ())) if params else set()
-    for doc in docs:
+    for doc in ctx.graph.resolve(parent.documents):
         if doc.valid and (not accepted or doc.kind in accepted):
             return True
     return False
@@ -488,13 +474,13 @@ def _status(instances: Sequence, failures: list[Finding],
 
 @rule("C1", (2, 3), "material and territorial applicability of the regulation")
 def _c1(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    selected = [p for p in ctx.graph.processings() if p.personalData]
+    selected = [p for p in ctx.graph.of_class("Data_Processing") if p.personalData]
     if not selected:
         return NOT_APPLICABLE, [Finding("", "no processing involves personal data")]
 
     def eu_country(country_id: str) -> bool:
         node = ctx.graph.get(country_id)
-        return isinstance(node, Country) and (node.isEUMemberState or node.EULawApplies)
+        return node is not None and (node.isEUMemberState or node.EULawApplies)
 
     territorial = False
     for p in selected:
@@ -672,7 +658,7 @@ def _c7(ctx: EvalContext) -> tuple[str, list[Finding]]:
             failures.append(Finding(
                 p.id, "criminal-conviction data processed without official "
                       "authority or a legal authorization"))
-    for node in ctx.generic_nodes("Filing_System"):
+    for node in ctx.graph.of_class("Filing_System"):
         if not node.attrs.get("criminalRegister"):
             continue
         instances.append(node)
@@ -1090,11 +1076,8 @@ def _c21(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 
 def _represented_in_eu(ctx: EvalContext, actor: Actor) -> bool:
-    for rep in ctx.representatives(actor):
-        for node in ctx.graph.resolve(rep.countries):
-            if isinstance(node, Country) and node.isEUMemberState:
-                return True
-    return False
+    return any(c.isEUMemberState for rep in ctx.representatives(actor)
+               for c in ctx.graph.resolve(rep.countries))
 
 
 @rule("C22", (28, 29), "processors act on documented instructions with safeguards",
@@ -1132,8 +1115,7 @@ def _c23(ctx: EvalContext) -> tuple[str, list[Finding]]:
     for p in ctx.scope():
         roles = [(a, "controller") for a in ctx.controllers(p)]
         roles += [(a, "processor") for a in ctx.processors(p)]
-        records = [r for r in ctx.graph.resolve(p.records)
-                   if isinstance(r, RecordActivity)]
+        records = ctx.graph.resolve(p.records)
         for actor, role in roles:
             instances.append(actor)
             held = [r for r in records if r.holder == actor.id]
@@ -1197,7 +1179,7 @@ def _c25(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @rule("C26", (33, 34), "breach handling escalates with the associated risk")
 def _c26(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    breaches = [b for b in ctx.graph.of_class("Breach") if isinstance(b, Breach)]
+    breaches = ctx.graph.of_class("Breach")
     failures: list[Finding] = []
     for breach in breaches:
         if not breach.recorded:
@@ -1219,7 +1201,7 @@ def _c26(ctx: EvalContext) -> tuple[str, list[Finding]]:
             failures.append(Finding(
                 breach.id, "high-risk breach not communicated to the subjects"))
         detector = ctx.graph.get(breach.detectedBy)
-        if isinstance(detector, Actor) and detector.cls == "Data_Processor" \
+        if detector is not None and detector.cls == "Data_Processor" \
                 and breach.controllersInformedAt is None:
             failures.append(Finding(
                 breach.id, "processor-detected breach: controllers were not "
@@ -1245,7 +1227,7 @@ def _c27(ctx: EvalContext) -> tuple[str, list[Finding]]:
         if mandatory and dpia is None:
             failures.append(Finding(
                 p.id, "high-risk processing without an impact assessment"))
-        if isinstance(dpia, DPIA):
+        if dpia is not None:
             missing = DPIA_MINIMAL_CONTENT - set(dpia.information)
             if missing:
                 failures.append(Finding(
@@ -1260,7 +1242,7 @@ def _c28(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     for p in ctx.scope():
         dpia = ctx.graph.get(p.dpia) if p.dpia else None
-        if not isinstance(dpia, DPIA):
+        if dpia is None:
             continue
         consultation = dpia.consultation
         if dpia.residualRisk == "HIGH":
@@ -1319,8 +1301,7 @@ def _c29(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @rule("C30", (42,), "certifications are voluntary, transparent, accredited, "
                     "and at most three years old")
 def _c30(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    certifications = [c for c in ctx.graph.of_class("Certification")
-                      if isinstance(c, Certification)]
+    certifications = ctx.graph.of_class("Certification")
     failures: list[Finding] = []
     for cert in certifications:
         if not cert.voluntary:
@@ -1344,12 +1325,8 @@ def _c30(ctx: EvalContext) -> tuple[str, list[Finding]]:
 # ---------------------------------------------------------------------------
 
 def _transfer_pairs(ctx: EvalContext) -> list[tuple[DataProcessing, DataTransfer]]:
-    out: list[tuple[DataProcessing, DataTransfer]] = []
-    for p in ctx.scope():
-        for node in ctx.graph.resolve(p.transfers):
-            if isinstance(node, DataTransfer):
-                out.append((p, node))
-    return out
+    return [(p, transfer) for p in ctx.scope()
+            for transfer in ctx.graph.resolve(p.transfers)]
 
 
 def _transfer_findings(ctx: EvalContext, p: DataProcessing,
@@ -1358,7 +1335,7 @@ def _transfer_findings(ctx: EvalContext, p: DataProcessing,
     out: list[Finding] = []
     if basis.kind == "IntraEU":
         to = ctx.graph.get(transfer.toCountry)
-        if not (isinstance(to, Country) and (to.isEUMemberState or to.EULawApplies)):
+        if to is None or not (to.isEUMemberState or to.EULawApplies):
             out.append(Finding(
                 transfer.id, "declared intra-EU but the destination is outside "
                              "EU law"))
@@ -1429,7 +1406,7 @@ def _c32(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @rule("C33", (48,), "third-country judgments honored only under an "
                     "international agreement")
 def _c33(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    judgments = ctx.generic_nodes("Judgment")
+    judgments = ctx.graph.of_class("Judgment")
     failures: list[Finding] = []
     for node in judgments:
         if node.attrs.get("recognized") and not node.attrs.get(
@@ -1488,17 +1465,12 @@ def compute_max_fine(kind: str | Infringement,
 
 
 def _turnover_cents_for(ctx: EvalContext, infringement: Infringement) -> int:
-    node = None
     if infringement.turnover:
         node = ctx.graph.get(infringement.turnover)
     else:
-        contexts = [n for n in ctx.graph.of_class("Turnover_Context")
-                    if isinstance(n, TurnoverContext)]
-        if len(contexts) == 1:
-            node = contexts[0]
-    if isinstance(node, TurnoverContext):
-        return node.worldwideAnnualTurnoverEUR * 100
-    return 0
+        contexts = ctx.graph.of_class("Turnover_Context")
+        node = contexts[0] if len(contexts) == 1 else None
+    return node.worldwideAnnualTurnoverEUR * 100 if node is not None else 0
 
 
 def _fine_findings(ctx: EvalContext, infringement: Infringement,
@@ -1528,8 +1500,7 @@ def _fine_findings(ctx: EvalContext, infringement: Infringement,
 
 @rule("C35", (83,), "administrative fines stay within the two statutory ceilings")
 def _c35(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    infringements = [n for n in ctx.graph.of_class("Infringement")
-                     if isinstance(n, Infringement)]
+    infringements = ctx.graph.of_class("Infringement")
     failures: list[Finding] = []
     notes: list[Finding] = []
     for infringement in infringements:
@@ -1623,7 +1594,7 @@ def _v8(ctx: EvalContext) -> tuple[str, list[Finding]]:
         if wanted_types and p.type not in wanted_types:
             continue
         dpia = ctx.graph.get(p.dpia) if p.dpia else None
-        if not isinstance(dpia, DPIA):
+        if dpia is None:
             continue
         instances.append(dpia)
         if "RECONCILIATION_ASSESSMENT" not in dpia.information:
@@ -1644,7 +1615,7 @@ def _v10(ctx: EvalContext) -> tuple[str, list[Finding]]:
         if transfer.basis.kind in ("IntraEU", "AdequacyDecision"):
             continue
         to = ctx.graph.get(transfer.toCountry)
-        code = to.code if isinstance(to, Country) else None
+        code = to.code if to is not None else None
         instances.append(transfer)
         for limit in limits:
             categories = set(limit.get("categories", ()))
@@ -1662,7 +1633,7 @@ def _v10(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @variation_rule("V11", (80,), "complaints lodged by representative bodies")
 def _v11(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    complaints = [n for n in ctx.generic_nodes("Complaint")
+    complaints = [n for n in ctx.graph.of_class("Complaint")
                   if n.attrs.get("lodgedByBody")]
     failures = [
         Finding(n.id, "the lodging body does not meet the national mandate "
@@ -1678,10 +1649,8 @@ def _v12_1(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     notes: list[Finding] = []
     for infringement in ctx.graph.of_class("Infringement"):
-        if not isinstance(infringement, Infringement):
-            continue
         actor = ctx.graph.get(infringement.by) if infringement.by else None
-        if isinstance(actor, Actor) and actor.kind in PUBLIC_AUTHORITY_KINDS:
+        if actor is not None and actor.kind in PUBLIC_AUTHORITY_KINDS:
             continue
         instances.append(infringement)
         bad, info = _fine_findings(ctx, infringement)
@@ -1700,10 +1669,8 @@ def _v12_2(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     notes: list[Finding] = []
     for infringement in ctx.graph.of_class("Infringement"):
-        if not isinstance(infringement, Infringement):
-            continue
         actor = ctx.graph.get(infringement.by) if infringement.by else None
-        if not (isinstance(actor, Actor) and actor.kind in PUBLIC_AUTHORITY_KINDS):
+        if actor is None or actor.kind not in PUBLIC_AUTHORITY_KINDS:
             continue
         instances.append(infringement)
         if not applies:
@@ -1730,8 +1697,6 @@ def _v13(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     notes: list[Finding] = []
     for infringement in ctx.graph.of_class("Infringement"):
-        if not isinstance(infringement, Infringement):
-            continue
         if infringement.kind in penalties:
             instances.append(infringement)
             notes.append(Finding(
@@ -1809,7 +1774,7 @@ def _v18(ctx: EvalContext) -> tuple[str, list[Finding]]:
                               "controllers stay within national limits",
                 hooks=("V_checkDerrogationsFromRights",))
 def _v19(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    tasks = [n for n in ctx.generic_nodes("Investigation_Task")
+    tasks = [n for n in ctx.graph.of_class("Investigation_Task")
              if n.attrs.get("involvesSecretData")]
     failures = [
         Finding(n.id, "investigation reaches data under professional secrecy "

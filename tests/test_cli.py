@@ -62,6 +62,24 @@ def test_check_invalid_document_exits_three(tmp_path, capsys):
     assert "SYNTAX" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--instance", "--profile"])
+@pytest.mark.parametrize("data", [b"[" * 100_000, b"[" + b"9" * 5000 + b"]"],
+                         ids=["deep nesting", "long integer"])
+def test_unparsable_document_exits_three_without_a_traceback(option, data,
+                                                             instance_path,
+                                                             tmp_path, capsys):
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(data)
+    if option == "--instance":
+        argv = ["check", "--instance", str(path)]
+    else:
+        argv = ["check", "--instance", instance_path, "--profile", str(path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SYNTAX" in captured.err and "Traceback" not in captured.err
+
+
 def test_check_date_outside_years_1_to_9999_in_utc_exits_three(instance_path,
                                                                capsys):
     # Local midnight of 1 January, year 1, at UTC+1 is still in year 0 in UTC.

@@ -14,7 +14,7 @@ from typing import Callable
 import pytest
 
 from fixtures import compliant_document, document_bytes, find
-from gdpr_engine import load_instance
+from gdpr_engine import load_instance, load_profile
 from gdpr_engine.ingest import LoadError
 from gdpr_engine.variability import Resolution, build_profile
 
@@ -407,3 +407,24 @@ def test_bad_literal_under_a_profile_that_extends_the_enumeration():
     assert [(v.code, v.objectId, v.message) for v in error.violations] == [
         ("BAD_LITERAL", "dpia1",
          "information: 'GUESSWORK' is not a literal of DPIA_Information_Type")]
+
+
+# Whole documents that the JSON parser itself rejects, for either loader.
+UNPARSABLE_DOCUMENTS = {
+    "nesting past the recursion limit": (
+        b"[" * 100_000, "SYNTAX: document nests deeper than the parser allows"),
+    "integer past the digit limit": (
+        b'{"objects": [], "n": ' + b"9" * 5000 + b"}",
+        "SYNTAX: a number has more digits than the parser allows"),
+}
+
+
+@pytest.mark.parametrize("loader", [load_instance, load_profile])
+@pytest.mark.parametrize("name", list(UNPARSABLE_DOCUMENTS))
+def test_unparsable_document_is_a_syntax_error(name, loader):
+    data, text = UNPARSABLE_DOCUMENTS[name]
+    with pytest.raises(LoadError) as excinfo:
+        loader(data)
+    error = excinfo.value
+    assert (error.code, error.object_id, str(error), error.violations) \
+        == ("SYNTAX", None, text, ())

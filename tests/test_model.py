@@ -5,9 +5,11 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
+from functools import partial
 
 import pytest
 
@@ -29,6 +31,7 @@ from gdpr_engine.model import (
     TransferBasis,
     validate_graph,
 )
+from gdpr_engine.rules import check_applicability, evaluate_all, evaluate_rule
 from gdpr_engine.variability import Resolution, build_profile
 
 
@@ -71,6 +74,39 @@ def test_reference_to_wrong_class_is_reported():
     violations = validate_graph(graph_of(purpose, processing))
     assert any(v.code == "DANGLING_REF" and "consent" in v.message
                for v in violations)
+
+
+_UNRESOLVED_GRAPHS = {
+    "dangling": (
+        [DataProcessing(id="p", cls="Data_Processing", purposes=("ghost",),
+                        type="OTHER")],
+        "p: reference 'purposes' to missing object 'ghost'"),
+    "wrong class": (
+        [Purpose(id="purp", cls="Purpose", legalBasis="BY_CONSENT"),
+         DataProcessing(id="p", cls="Data_Processing", purposes=("purp",),
+                        consent="purp", type="OTHER")],
+        "p: reference 'consent' resolves to Purpose, expected one of ['Consent']"),
+}
+
+
+@pytest.mark.parametrize("evaluate", [
+    evaluate_all, partial(evaluate_rule, "C4"), check_applicability,
+], ids=["evaluate_all", "evaluate_rule", "check_applicability"])
+@pytest.mark.parametrize("case", list(_UNRESOLVED_GRAPHS))
+def test_evaluation_refuses_a_graph_whose_references_do_not_resolve(case,
+                                                                   evaluate):
+    nodes, named = _UNRESOLVED_GRAPHS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        evaluate(graph_of(*nodes), build_profile([]))
+
+
+@pytest.mark.parametrize("node", [
+    GenericNode(id="g", cls="Data_Processing"),
+    Purpose(id="purp", cls="Consent"),
+], ids=["generic node of a typed class", "typed node of another class"])
+def test_graph_refuses_a_node_whose_python_class_does_not_match_its_class(node):
+    with pytest.raises(ValueError, match="must be a"):
+        InstanceGraph([node])
 
 
 def test_validation_is_declaration_order_independent():

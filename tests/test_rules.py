@@ -503,7 +503,7 @@ def test_indexed_lookups_match_a_scan_of_the_graph(generic_profile):
                     n.cls == "Representative" and target.id in n.represents
                     and any(graph[c].isEUMemberState for c in n.countries)
                     for n in graph), (name, target.id)
-        for p in graph.processings():
+        for p in graph.of_class("Data_Processing"):
             for about in ("RECTIFICATION", "ERASURE", "RESTRICTION"):
                 scanned = [n for n in scan_evidence(graph, "Notification",
                                                     "processing", p.id)
