@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -10,7 +11,7 @@ from .glossary import glossary_lookup
 from .ingest import LoadError, canonical_json, load_instance, load_profile
 from .registry import UnknownClassError, format_citations, trace_articles
 from .rules import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, ComplianceReport, evaluate_all
-from .timebase import TimestampError, parse_minutes
+from .timebase import TimestampError
 from .variability import VariabilityError, build_profile, default_profile
 
 EXIT_OK = 0
@@ -82,8 +83,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         profile = _load_profile_from_path(args.profile)
         with open(args.instance, "rb") as handle:
             graph = load_instance(handle.read(), profile)
-        if args.check_date is not None:
-            parse_minutes(args.check_date)
         report = evaluate_all(graph, profile, check_date=args.check_date,
                               strict=args.strict_variability)
     except (LoadError, VariabilityError, TimestampError, OSError) as exc:
@@ -185,9 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``main`` call in this process reuses."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    args = _parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except Exception:  # exit 1 means only "a rule failed"
+        import traceback  # imported on this path only, to keep start-up short
+
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

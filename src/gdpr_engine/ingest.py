@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import re
 from dataclasses import fields
 from typing import Iterator, Mapping, Sequence
@@ -147,13 +148,32 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
+def _reject_constant(literal: str) -> None:
+    _fail(SYNTAX, f"{literal} is not a JSON number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _fail(SYNTAX, "a number is too large for a finite double")
+    return value
+
+
+# RFC 8259 JSON only: NaN, Infinity and -Infinity, which json.loads accepts,
+# and numbers that overflow a double raise LoadError(SYNTAX).
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                            parse_float=_finite_float)
+
+
 def _parse_json(text: str) -> dict:
     try:
-        document = json.loads(text)
+        document = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         _fail(SYNTAX, exc.msg, line=exc.lineno, column=exc.colno)
     except RecursionError:
         _fail(SYNTAX, "document nests deeper than the parser allows")
+    except LoadError:  # from the number hooks above
+        raise
     except ValueError:  # an integer past sys.get_int_max_str_digits()
         _fail(SYNTAX, "a number has more digits than the parser allows")
     if not isinstance(document, dict):
@@ -365,7 +385,7 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
     if not isinstance(raw, dict):
         _fail(SCHEMA, "basis must be an object", object_id=object_id)
     kind = raw.get("kind")
-    if kind not in ENUMERATIONS[TRANSFER_BASIS_KIND]:
+    if not isinstance(kind, str) or kind not in ENUMERATIONS[TRANSFER_BASIS_KIND]:
         _fail(BAD_LITERAL, f"basis kind {kind!r} is not a transfer basis",
               object_id=object_id)
     allowed = BASIS_FIELDS[kind]

@@ -407,9 +407,10 @@ class InstanceGraph:
     Construction walks every reference once. It indexes the id-sorted rows
     of every class and class expansion and the referrers along the roles
     that rules navigate backwards, and records in ``ref_violations`` each
-    reference that does not resolve to an allowed class. A node whose Python
-    class does not match its ``cls`` raises ``ValueError``. Lookups then
-    return stored tuples.
+    reference that does not resolve to an allowed class and each required
+    single reference that holds no id. A node whose Python class does not
+    match its ``cls`` raises ``ValueError``. Lookups then return stored
+    tuples.
     """
 
     __slots__ = ("_objects", "_rows", "_referrers", "_ref_violations")
@@ -440,8 +441,13 @@ class InstanceGraph:
                 refs = [(role, ids, None, True) for role, ids in node.refs.items()]
             else:
                 refs = []
-                for name, field_name, many, targets, backward in _REF_PLANS[cls]:
+                for (name, field_name, many, required, targets,
+                     backward) in _REF_PLANS[cls]:
                     value = getattr(node, field_name)
+                    if required and not many and not value:
+                        bad.append(Violation(
+                            DANGLING_REF, node.id,
+                            f"required reference {name!r} holds no object id"))
                     ids = value if many else (value,) if value else ()
                     refs.append((name, ids, targets, backward))
             for name, ids, targets, backward in refs:
@@ -465,7 +471,8 @@ class InstanceGraph:
 
     @property
     def ref_violations(self) -> tuple[Violation, ...]:
-        """One ``DANGLING_REF`` per missing or wrong-class target, by id."""
+        """One ``DANGLING_REF`` per missing or wrong-class target and per
+        empty required single ref, by id."""
         return self._ref_violations
 
     def __len__(self) -> int:
@@ -525,11 +532,11 @@ _BACKWARD_ROLES: dict[str, tuple[str, ...]] = {
     "Representative": ("represents",),
 }
 
-# Per typed class, built once: (name, field name, many, allowed target
-# classes, indexed backwards) per ref.
+# Per typed class, built once: (name, field name, many, required, allowed
+# target classes, indexed backwards) per ref.
 _REF_PLANS: dict[str, tuple[tuple, ...]] = {
-    cls: tuple((spec.name, spec.field_name, spec.many, spec.targets,
-                spec.name in _BACKWARD_ROLES.get(cls, ()))
+    cls: tuple((spec.name, spec.field_name, spec.many, spec.required,
+                spec.targets, spec.name in _BACKWARD_ROLES.get(cls, ()))
                for spec in CLASS_REFS[cls])
     for cls in DATACLASS_FOR
 }

@@ -1912,7 +1912,7 @@ def evaluate_all(graph: InstanceGraph, profile,
         graphFingerprint=graph_fingerprint(graph),
         checkDate=_minutes_to_iso(ctx.check_minutes),
         summary=summary,
-        audit=tuple(dict(e) for e in profile.resolution_table_payload()),
+        audit=tuple(profile.resolution_table_payload()),
     )
 
 

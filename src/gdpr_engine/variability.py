@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import enums
@@ -474,19 +475,32 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
 class SpecializationProfile:
     """The generic rule set plus applied variation resolutions.
 
-    Mutable while being tailored; finalize() validates cross-resolution
-    consistency and freezes it. Finalized profiles are immutable and safe
-    to share across evaluator threads.
+    A builder while being tailored: apply() deep-freezes each resolution's
+    params (read-only mappings and tuples) and records its effects.
+    finalize() validates cross-resolution consistency and freezes the
+    profile. Finalized profiles are immutable and safe to share across
+    evaluator threads.
     """
 
     def __init__(self) -> None:
         self._rules: dict[str, RuleSpec] = dict(RULE_CATALOG)
         self._hooks: dict[str, Mapping | None] = {name: None for name in DEFAULT_HOOKS}
         self._enum_extensions: dict[str, frozenset[str]] = {}
-        self._resolutions: list[Resolution] = []
+        self._resolutions: dict[str, Resolution] = {}
         self._adaptations: dict[str, Adaptation] = {}
         self._audit: list[AuditEntry] = []
-        self.finalized = False
+        self._finalized = False
+
+    @property
+    def finalized(self) -> bool:
+        return self._finalized
+
+    def __reduce__(self):
+        # Read-only views do not pickle; applying the same resolutions again
+        # rebuilds the same profile.
+        resolutions = tuple(Resolution(r.variationId, plain_data(r.parameters))
+                            for r in self._resolutions.values())
+        return build_profile, (resolutions, self.finalized)
 
     # -- read API used by the engine ----------------------------------------
 
@@ -506,7 +520,7 @@ class SpecializationProfile:
 
     @property
     def resolutions(self) -> tuple[Resolution, ...]:
-        return tuple(self._resolutions)
+        return tuple(self._resolutions.values())
 
     def hook_params(self, name: str) -> Mapping | None:
         return self._hooks.get(name)
@@ -516,13 +530,11 @@ class SpecializationProfile:
         return dict(self._hooks)
 
     def has_resolution(self, variation_id: str) -> bool:
-        return any(r.variationId == variation_id for r in self._resolutions)
+        return variation_id in self._resolutions
 
     def resolution_params(self, variation_id: str) -> Mapping | None:
-        for resolution in self._resolutions:
-            if resolution.variationId == variation_id:
-                return resolution.parameters
-        return None
+        resolution = self._resolutions.get(variation_id)
+        return None if resolution is None else resolution.parameters
 
     def minimum_age(self, graph: InstanceGraph, subject: DataSubject,
                     processing) -> int:
@@ -535,12 +547,9 @@ class SpecializationProfile:
 
     # -- tailoring ------------------------------------------------------------
 
-    def _guard(self) -> None:
-        if self.finalized:
-            raise ProfileFinalizedError("profile is finalized; clone to re-tailor")
-
     def apply(self, resolution: Resolution) -> "SpecializationProfile":
-        self._guard()
+        if self._finalized:
+            raise ProfileFinalizedError("profile is finalized; clone to re-tailor")
         vp = VARIATION_POINTS.get(resolution.variationId)
         if vp is None:
             raise UnknownVariationError(
@@ -548,7 +557,7 @@ class SpecializationProfile:
         if self.has_resolution(vp.id):
             raise DuplicateResolutionError(
                 f"{vp.id} has already been resolved in this profile")
-        params = vp.schema(_require_mapping(vp.id, resolution.parameters))
+        params = _frozen(vp.schema(_require_mapping(vp.id, resolution.parameters)))
 
         touched_model: list[str] = []
         touched_constraints: list[str] = []
@@ -607,11 +616,11 @@ class SpecializationProfile:
             vp.id, "glossary",
             f"added terminology introduced by {vp.id} ({vp.summary})"))
 
-        self._resolutions.append(Resolution(vp.id, params))
+        self._resolutions[vp.id] = Resolution(vp.id, params)
         return self
 
     def finalize(self) -> "SpecializationProfile":
-        if self.finalized:
+        if self._finalized:
             return self
 
         v1 = self.resolution_params("V1")
@@ -650,7 +659,9 @@ class SpecializationProfile:
                     raise ProfileConsistencyError(
                         f"rule {spec.id} needs {hook}, but {vp} is unresolved")
 
-        self.finalized = True
+        self._finalized = True
+        self._adaptations = MappingProxyType(self._adaptations)
+        self._enum_extensions = MappingProxyType(self._enum_extensions)
         return self
 
     # -- audit & identity ------------------------------------------------------
@@ -669,24 +680,23 @@ class SpecializationProfile:
                     "removedRights": sorted(desc.removedRights),
                     "exemptProcessingTypes": sorted(desc.exemptProcessingTypes),
                 }
-                for rule_id, desc in sorted(self._adaptations.items())
+                for rule_id, desc in self._adaptations.items()
             },
             "hooks": {
-                name: (dict(params) if params is not None else None)
-                for name, params in sorted(self._hooks.items())
+                name: plain_data(params)
+                for name, params in self._hooks.items()
                 if name in DEFAULT_HOOKS
             },
             "enums": {
                 name: sorted(values)
-                for name, values in sorted(self._enum_extensions.items())
+                for name, values in self._enum_extensions.items()
             },
             "parameters": {
-                r.variationId: plain_data(r.parameters)
-                for r in sorted(self._resolutions, key=lambda r: r.variationId)
+                variation_id: plain_data(resolution.parameters)
+                for variation_id, resolution in self._resolutions.items()
             },
         }
-        blob = json.dumps(state, sort_keys=True, separators=(",", ":"),
-                          default=_json_default)
+        blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -700,21 +710,24 @@ _VARIATION_FOR_PARAMETER_HOOK = {
 
 
 def plain_data(value):
-    """``value`` with every mapping as a key-sorted dict and every list or
-    tuple as a list."""
-    if isinstance(value, Mapping):
+    """``value`` with every mapping (a dict, or the read-only view that
+    applied params use) as a key-sorted dict and every list or tuple as a
+    list."""
+    if isinstance(value, (dict, MappingProxyType)):
         return {k: plain_data(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [plain_data(v) for v in value]
     return value
 
 
-def _json_default(value):
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"not serializable: {type(value).__name__}")
+def _frozen(value):
+    """``value`` with every dict as a read-only view and every list as a
+    tuple, all the way down."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fixtures import (
     find,
     variant,
 )
-from gdpr_engine.cli import main
+from gdpr_engine.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -63,8 +63,10 @@ def test_check_invalid_document_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option", ["--instance", "--profile"])
-@pytest.mark.parametrize("data", [b"[" * 100_000, b"[" + b"9" * 5000 + b"]"],
-                         ids=["deep nesting", "long integer"])
+@pytest.mark.parametrize("data", [b"[" * 100_000, b"[" + b"9" * 5000 + b"]",
+                                  b"[NaN]", b"[1e999999]"],
+                         ids=["deep nesting", "long integer", "NaN",
+                              "overflowing float"])
 def test_unparsable_document_exits_three_without_a_traceback(option, data,
                                                              instance_path,
                                                              tmp_path, capsys):
@@ -86,6 +88,22 @@ def test_check_date_outside_years_1_to_9999_in_utc_exits_three(instance_path,
     assert main(["check", "--instance", instance_path,
                  "--check-date", "0001-01-01T00:00:00+01:00"]) == 3
     assert "outside years 1-9999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check_date, message", [
+    ("0001-01-01T00:00:00+01:00",
+     "timestamp '0001-01-01T00:00:00+01:00' falls outside years 1-9999 in UTC"),
+    ("", "not a timestamp: ''"),
+    ("yesterday", "bad timestamp 'yesterday': Invalid isoformat string: 'yesterday'"),
+    ("2023-02-30T00:00:00Z",
+     "bad timestamp '2023-02-30T00:00:00Z': day is out of range for month"),
+])
+def test_bad_check_date_exits_three_with_one_message(check_date, message,
+                                                     instance_path, capsys):
+    assert main(["check", "--instance", instance_path, "--format", "machine",
+                 "--check-date", check_date]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_timestamp_attribute_outside_years_1_to_9999_exits_three(tmp_path,
@@ -117,6 +135,65 @@ def test_check_strict_mode_exits_two_on_unknown(instance_path, capsys):
     assert main(["check", "--instance", instance_path,
                  "--strict-variability"]) == 2
     assert "Unknown" in capsys.readouterr().out
+
+
+def test_one_parser_serves_a_strict_check_and_then_a_plain_one(instance_path,
+                                                               monkeypatch,
+                                                               capsys):
+    from gdpr_engine import cli
+
+    checks = [
+        ["check", "--instance", instance_path, "--format", "machine",
+         "--strict-variability"],
+        ["check", "--instance", instance_path, "--format", "machine"],
+    ]
+    alone = []
+    for argv in checks:
+        cli._parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr().out))
+    assert [code for code, _ in alone] == [2, 0]
+
+    built = []
+
+    def counted_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    together = [(main(argv), capsys.readouterr().out) for argv in checks]
+    cli._parser.cache_clear()
+    assert together == alone
+    assert built == [1]
+
+
+def test_an_internal_error_exits_three_with_its_traceback(instance_path):
+    """Exit 1 means only "a rule failed": a crash inside a command is exit 3."""
+    import os
+    import subprocess
+    import sys
+
+    import gdpr_engine
+
+    source_root = os.path.dirname(os.path.dirname(gdpr_engine.__file__))
+    script = (
+        "import sys\n"
+        "from gdpr_engine import cli\n"
+        "def crash(*args, **kwargs):\n"
+        "    raise RuntimeError('patched crash')\n"
+        "cli.load_instance = crash\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "check", "--instance", instance_path],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "GDPR_ENGINE_NO_COLOR": "1",
+             "PYTHONPATH": source_root},
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("Traceback (most recent call last):")
+    assert result.stderr.endswith("RuntimeError: patched crash\n")
 
 
 def test_machine_format_is_byte_identical_across_runs(instance_path, capsys):

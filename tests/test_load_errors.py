@@ -416,6 +416,14 @@ UNPARSABLE_DOCUMENTS = {
     "integer past the digit limit": (
         b'{"objects": [], "n": ' + b"9" * 5000 + b"}",
         "SYNTAX: a number has more digits than the parser allows"),
+    "NaN": (b'{"objects": [], "n": NaN}', "SYNTAX: NaN is not a JSON number"),
+    "Infinity": (b'{"objects": [], "n": Infinity}',
+                 "SYNTAX: Infinity is not a JSON number"),
+    "-Infinity": (b'{"objects": [], "n": [-Infinity]}',
+                  "SYNTAX: -Infinity is not a JSON number"),
+    "number past the double range": (
+        b'{"objects": [], "n": -1e999999}',
+        "SYNTAX: a number is too large for a finite double"),
 }
 
 
@@ -428,3 +436,25 @@ def test_unparsable_document_is_a_syntax_error(name, loader):
     error = excinfo.value
     assert (error.code, error.object_id, str(error), error.violations) \
         == ("SYNTAX", None, text, ())
+
+
+def test_overflowing_number_in_a_generic_attr_is_a_syntax_error():
+    """``1e999999`` would reach the graph's canonical text as ``Infinity``,
+    which is not JSON; a finite float still loads."""
+    document = compliant_document()
+    find(document, "demo1")["attrs"]["ratio"] = 0.125
+    data = document_bytes(document)
+    assert data.count(b"0.125") == 1
+    assert load_instance(data).get("demo1").attrs["ratio"] == 0.125
+    with pytest.raises(LoadError) as excinfo:
+        load_instance(data.replace(b"0.125", b"1e999999"))
+    assert str(excinfo.value) == "SYNTAX: a number is too large for a finite double"
+
+
+def test_basis_kind_that_is_not_a_string_is_a_bad_literal():
+    document = compliant_document()
+    _attr("tr_eu", "basis", {"kind": []})(document)
+    with pytest.raises(LoadError) as excinfo:
+        load_instance(document_bytes(document))
+    assert str(excinfo.value) == \
+        "BAD_LITERAL (object 'tr_eu'): basis kind [] is not a transfer basis"

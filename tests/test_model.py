@@ -86,6 +86,9 @@ _UNRESOLVED_GRAPHS = {
          DataProcessing(id="p", cls="Data_Processing", purposes=("purp",),
                         consent="purp", type="OTHER")],
         "p: reference 'consent' resolves to Purpose, expected one of ['Consent']"),
+    "missing required ref": (
+        [DataSubject(id="s", cls="Data_Subject", ageYears=1)],
+        "s: required reference 'residence' holds no object id"),
 }
 
 
@@ -98,6 +101,19 @@ def test_evaluation_refuses_a_graph_whose_references_do_not_resolve(case,
     nodes, named = _UNRESOLVED_GRAPHS[case]
     with pytest.raises(ValueError, match=re.escape(named)):
         evaluate(graph_of(*nodes), build_profile([]))
+
+
+def test_every_empty_required_single_ref_is_a_violation():
+    """The loader rejects such an object; a hand-built graph records it."""
+    breach = Breach(id="b", cls="Breach", detectedAt="2023-01-01T00:00:00Z")
+    violations = validate_graph(graph_of(breach))
+    assert [(v.code, v.objectId, v.message) for v in violations] == [
+        ("DANGLING_REF", "b", "required reference 'detectedBy' holds no object id"),
+        ("DANGLING_REF", "b", "required reference 'processing' holds no object id"),
+    ]
+    # Optional single refs may stay empty.
+    assert graph_of(DataProcessing(id="p", cls="Data_Processing",
+                                   type="OTHER")).ref_violations == ()
 
 
 @pytest.mark.parametrize("node", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -20,6 +21,7 @@ from gdpr_engine.variability import (
     REPLACE,
     Resolution,
     ResolutionParameterError,
+    SpecializationProfile,
     UnknownVariationError,
     VARIATION_POINTS,
     apply_resolution,
@@ -127,6 +129,62 @@ def test_finalized_profile_rejects_further_mutation():
     profile = build_profile([])
     with pytest.raises(ProfileFinalizedError):
         apply_resolution(profile, Resolution("V16", {}))
+
+
+_TAILORED = [
+    Resolution("V1", {"thresholds": {"AT": 14}, "default": 16}),
+    Resolution("V5", {"adaptations": {"C9": {"removedRights": ["RIGHT_TO_OBJECT"]}}}),
+    Resolution("V10", {"limits": [{"categories": ["HEALTH"], "toCountries": ["US"]}]}),
+    Resolution("V16", {}),
+]
+
+
+def test_finalized_profile_params_are_deep_frozen():
+    profile = build_profile(_TAILORED)
+    v1 = profile.hook_params("V_getMinimumAgeForDS")
+    assert v1 is profile.resolution_params("V1")
+    with pytest.raises(TypeError):
+        v1["default"] = 13
+    with pytest.raises(TypeError):
+        v1["thresholds"]["AT"] = 13
+    limits = profile.resolution_params("V10")["limits"]
+    with pytest.raises(TypeError):
+        limits[0]["toCountries"] = ("CN",)
+    with pytest.raises(AttributeError):
+        limits[0]["categories"].append("GENETIC")
+    with pytest.raises(TypeError):
+        profile.resolutions[0].parameters["default"] = 13
+    with pytest.raises(TypeError):
+        profile.adaptations["C2"] = profile.adaptations["C9"]
+    with pytest.raises(TypeError):
+        profile.enumExtensions["Actor_Type"] = frozenset({"X"})
+    with pytest.raises(AttributeError):
+        profile.finalized = False
+    assert v1["thresholds"]["AT"] == 14
+    # The frozen params still re-apply, and the profile still pickles.
+    assert build_profile(profile.resolutions).fingerprint() == profile.fingerprint()
+    for original in (profile, default_profile().apply(_TAILORED[0])):
+        copy = pickle.loads(pickle.dumps(original))
+        assert (copy.finalized, copy.fingerprint(), copy.resolution_table()) \
+            == (original.finalized, original.fingerprint(),
+                original.resolution_table())
+
+
+def test_a_check_computes_the_profile_fingerprint_once(monkeypatch):
+    calls = []
+    fingerprint = SpecializationProfile.fingerprint
+
+    def counted(self):
+        calls.append(self)
+        return fingerprint(self)
+
+    monkeypatch.setattr(SpecializationProfile, "fingerprint", counted)
+    profile = build_profile(_TAILORED)
+    graph = load_instance(document_bytes(compliant_document()), profile)
+    assert calls == []
+    report = evaluate_all(graph, profile)
+    assert calls == [profile]
+    assert report.profileFingerprint == fingerprint(profile)
 
 
 @pytest.mark.parametrize("variation, params, message", [
