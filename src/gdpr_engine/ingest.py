@@ -19,7 +19,8 @@ import json
 import math
 import re
 from dataclasses import fields
-from typing import Iterator, Mapping, Sequence
+from sys import intern
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import model
 from .enums import ENUMERATIONS, TRANSFER_BASIS_KIND
@@ -98,33 +99,23 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     Enumeration literals are checked against the base sets plus the
     extensions of ``profile`` when one is given.
 
-    Each raw object is dropped as soon as its node is built, so graph
-    construction and validation run without the JSON tree. Loading creates
-    no reference cycles, so cyclic garbage collection is paused meanwhile.
+    The document is decoded one object at a time: each raw object is dropped
+    as soon as its node is built, and the text before the graph is built, so
+    no JSON tree of the whole document is ever held. A document the stream
+    cannot load is read again whole, which reports its first error. Loading
+    creates no reference cycles, so cyclic garbage collection is paused
+    meanwhile.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         text = _decode(data)
-        document = _parse_json(text)
-        _reject_lone_surrogates(text, document, from_str=isinstance(data, str))
-        _check_top_level(document, {"schemaVersion", "objects"}, "objects")
-        raw_objects = document.get("objects")
-        del text, document
-        if not isinstance(raw_objects, list):
-            _fail(SCHEMA, "objects must be a list")
-
-        nodes: list[Node] = []
-        seen: set[str] = set()
-        for position, raw in enumerate(raw_objects):
-            raw_objects[position] = None
-            node = _build_node(raw, position)
-            if node.id in seen:
-                _fail(DUPLICATE_ID, f"object id {node.id!r} declared twice",
-                      object_id=node.id)
-            seen.add(node.id)
-            nodes.append(node)
-        del raw_objects, seen
+        from_str = isinstance(data, str)
+        nodes = _stream_nodes(text, from_str)
+        if nodes is None:
+            nodes = _document_nodes(text, from_str)
+        del text
+        nodes = _with_unique_ids(nodes)
 
         graph = InstanceGraph(nodes)
         del nodes
@@ -204,7 +195,8 @@ def _reject_lone_surrogates(text: str, document: dict, *, from_str: bool) -> Non
                       f"U+{ord(found.group()):04X}, which UTF-8 cannot encode")
 
 
-def _check_top_level(document: Mapping, allowed: set[str], required: str) -> None:
+def _check_top_level(document: Mapping, allowed: AbstractSet[str],
+                     required: str) -> None:
     unknown = sorted(set(document) - allowed)
     if unknown:
         _fail(SCHEMA, f"unknown top-level keys: {', '.join(unknown)}")
@@ -213,6 +205,132 @@ def _check_top_level(document: Mapping, allowed: set[str], required: str) -> Non
         _fail(SCHEMA, f"unsupported schemaVersion {version!r}")
     if required not in document:
         _fail(SCHEMA, f"missing top-level key {required!r}")
+
+
+_INSTANCE_KEYS = frozenset({"schemaVersion", "objects"})
+_SPACE = frozenset(" \t\n\r")  # JSON whitespace
+_skip_space = json.decoder.WHITESPACE.match
+_scan_key = json.decoder.scanstring  # the C string reader the scanner uses
+
+
+def _stream_nodes(text: str, from_str: bool) -> list[Node] | None:
+    """The nodes of an instance document, decoded one object at a time.
+
+    Keys are read with the scanner's string reader and values with
+    ``_DECODER.scan_once``, the scanner and number hooks that
+    ``_DECODER.decode`` uses, so each element of ``objects`` is the dict a
+    whole-document parse would hold. It is built into its node and dropped.
+
+    Returns None, and never raises, for a document that might not load
+    this way: a syntax error anywhere, a root that is not an object, a
+    top-level key that is unknown or repeated, a wrong ``schemaVersion``,
+    ``objects`` missing or not an array, a surrogate escape (or a raw
+    surrogate in ``str`` input), or an object that does not build.
+    ``_document_nodes`` then reads the text whole, so the error reported is
+    the one a whole-document load finds first. Ids are not checked here:
+    once every object has built, the first repeated id is that error, and
+    ``_with_unique_ids`` finds it after the text is released.
+    """
+    if _SURROGATE_ESCAPE.search(text) or (
+            from_str and not text.isascii() and _SURROGATE.search(text)):
+        return None
+    scan = _DECODER.scan_once
+    nodes: list[Node] | None = None
+    keys: set[str] = set()
+    try:
+        pos = _skip_space(text, 0).end()
+        if text[pos:pos + 1] != "{":
+            return None
+        pos = _skip_space(text, pos + 1).end()
+        while True:
+            if text[pos:pos + 1] != '"':
+                return None
+            key, pos = _scan_key(text, pos + 1)
+            if key in keys or key not in _INSTANCE_KEYS:
+                return None
+            keys.add(key)
+            pos = _skip_space(text, pos).end()
+            if text[pos:pos + 1] != ":":
+                return None
+            pos = _skip_space(text, pos + 1).end()
+            if key == "schemaVersion":
+                version, pos = scan(text, pos)
+                if version != SUPPORTED_SCHEMA_VERSION:
+                    return None
+            else:
+                if text[pos:pos + 1] != "[":
+                    return None
+                nodes = []
+                pos = _skip_space(text, pos + 1).end()
+                char = text[pos:pos + 1]
+                while char != "]":
+                    raw, pos = scan(text, pos)
+                    nodes.append(_build_node(raw, len(nodes)))
+                    # A separator costs a regex match only when it holds
+                    # whitespace other than json.dumps' single space.
+                    char = text[pos:pos + 1]
+                    if char in _SPACE:
+                        pos = _skip_space(text, pos).end()
+                        char = text[pos:pos + 1]
+                    if char == ",":
+                        pos += 1
+                        if text[pos:pos + 1] == " ":
+                            pos += 1
+                        if text[pos:pos + 1] in _SPACE:
+                            pos = _skip_space(text, pos).end()
+                    elif char != "]":
+                        return None
+                pos += 1
+            pos = _skip_space(text, pos).end()
+            char = text[pos:pos + 1]
+            if char == "}":
+                break
+            if char != ",":
+                return None
+            pos = _skip_space(text, pos + 1).end()
+    except (ValueError, StopIteration, RecursionError):
+        # A JSONDecodeError, a number hook's LoadError, an integer past the
+        # digit limit, no value where one belongs, nesting past the stack,
+        # or an object that does not build.
+        return None
+    if nodes is None or _skip_space(text, pos + 1).end() != len(text):
+        return None
+    return nodes
+
+
+def _document_nodes(text: str, from_str: bool) -> Iterator[Node]:
+    """The nodes of an instance document parsed whole, built one by one as
+    they are drawn, or the LoadError of its first fault.
+
+    The checks run in the order that decides which error a document with
+    several faults reports: syntax, a lone surrogate, the top-level keys,
+    then each object in document order, where ``_with_unique_ids`` draws
+    the nodes and checks each id before the next object is built. This path
+    runs only for a document ``_stream_nodes`` declined, mostly to report
+    its error; a document whose surrogate escapes are paired, or whose last
+    repeated ``objects`` key holds valid objects, still loads here.
+    """
+    document = _parse_json(text)
+    _reject_lone_surrogates(text, document, from_str=from_str)
+    _check_top_level(document, _INSTANCE_KEYS, "objects")
+    raw_objects = document["objects"]
+    if not isinstance(raw_objects, list):
+        _fail(SCHEMA, "objects must be a list")
+    for position, raw in enumerate(raw_objects):
+        yield _build_node(raw, position)
+
+
+def _with_unique_ids(nodes: Iterable[Node]) -> list[Node]:
+    """``nodes`` as a list, or DUPLICATE_ID at the first id seen twice."""
+    out: list[Node] = []
+    seen: set[str] = set()
+    for node in nodes:
+        if node.id in seen:
+            _fail(DUPLICATE_ID, f"object id {node.id!r} declared twice",
+                  object_id=node.id)
+        seen.add(node.id)
+        out.append(node)
+    return out
 
 
 _OBJECT_KEYS = frozenset({"id", "class", "attrs", "refs"})
@@ -253,7 +371,10 @@ def _build_node(raw: object, position: int) -> Node:
 
     plan = _DECODE_PLANS.get(canonical)
     if plan is None:
-        return GenericNode(id=object_id, cls=canonical, attrs=dict(attrs),
+        # The scanner forgets its key memo between objects, so interning
+        # keeps one copy of each open key, as a whole-document parse did.
+        return GenericNode(id=object_id, cls=canonical,
+                           attrs={intern(key): value for key, value in attrs.items()},
                            refs=_generic_refs(object_id, refs))
     return _build_typed(object_id, canonical, plan, attrs, refs)
 
@@ -266,7 +387,7 @@ def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
             if not isinstance(target, str) or not target:
                 _fail(SCHEMA, f"ref {role!r} must hold object ids",
                       object_id=object_id)
-        out[role] = tuple(sorted(ids))
+        out[intern(role)] = tuple(sorted(ids))
     return out
 
 

@@ -20,7 +20,7 @@ decides whether violations abort a load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import FrozenInstanceError, dataclass, field, fields, make_dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
@@ -47,12 +47,34 @@ MEASURE_CLASSES = frozenset({"Technical", "Organizational"})
 CONSENT_GIVER_CLASSES = SUBJECT_CLASSES | {"Responsible_Parent"}
 
 
+def _sealed(node_class: type) -> type:
+    """``node_class`` with assignment and deletion refused for every name.
+
+    The ``__setattr__`` that ``dataclass(frozen=True, slots=True)`` writes
+    refers to the class before slots were added, so assigning a name that
+    is not a field raises a misleading ``TypeError`` from ``super()``.
+    """
+    node_class.__setattr__ = _refuse_assignment
+    node_class.__delattr__ = _refuse_deletion
+    return node_class
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Node:
     id: str
     cls: str
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class GenericNode(Node):
     attrs: Mapping[str, object] = field(default_factory=dict)
@@ -364,7 +386,7 @@ def _node_class(name: str, *wire_classes: str) -> type[Node]:
         namespace={"__module__": __name__},
     )
     DATACLASS_FOR.update(dict.fromkeys(sorted(wire_classes), node_class))
-    return node_class
+    return _sealed(node_class)
 
 
 Country = _node_class("Country", "Country")
@@ -408,12 +430,14 @@ class InstanceGraph:
     of every class and class expansion and the referrers along the roles
     that rules navigate backwards, and records in ``ref_violations`` each
     reference that does not resolve to an allowed class and each required
-    single reference that holds no id. A node whose Python class does not
-    match its ``cls`` raises ``ValueError``. Lookups then return stored
-    tuples.
+    single reference that holds no id. It parses each distinct timestamp
+    once and keeps its minutes and the latest instant. A node whose Python
+    class does not match its ``cls`` raises ``ValueError``. Lookups then
+    return stored values.
     """
 
-    __slots__ = ("_objects", "_rows", "_referrers", "_ref_violations")
+    __slots__ = ("_objects", "_rows", "_referrers", "_ref_violations",
+                 "_minutes", "_latest")
 
     def __init__(self, objects: Sequence[Node]):
         ordered = sorted(objects, key=attrgetter("id"))
@@ -426,6 +450,7 @@ class InstanceGraph:
         rows: dict[str, list[Node]] = {}
         referrers: dict[tuple[str, str, str], list[Node]] = {}
         bad: list[Violation] = []
+        minutes: dict[str, int | None] = {}
         for node in ordered:
             cls = node.cls
             node_class = DATACLASS_FOR.get(cls, GenericNode)
@@ -436,27 +461,36 @@ class InstanceGraph:
             expansion = _EXPANSION_OF.get(cls)
             if expansion is not None and expansion != cls:
                 rows.setdefault(expansion, []).append(node)
+            for stamp in _TIMESTAMP_GETTERS.get(cls, ()):
+                raw = stamp(node)
+                if isinstance(raw, str) and raw not in minutes:
+                    try:
+                        minutes[raw] = parse_minutes(raw)
+                    except TimestampError:
+                        minutes[raw] = None
             if node_class is GenericNode:
                 # Generic refs must resolve; their targets are open.
-                refs = [(role, ids, None, True) for role, ids in node.refs.items()]
-            else:
-                refs = []
-                for (name, field_name, many, required, targets,
-                     backward) in _REF_PLANS[cls]:
-                    value = getattr(node, field_name)
-                    if required and not many and not value:
-                        bad.append(Violation(
-                            DANGLING_REF, node.id,
-                            f"required reference {name!r} holds no object id"))
-                    ids = value if many else (value,) if value else ()
-                    refs.append((name, ids, targets, backward))
-            for name, ids, targets, backward in refs:
+                for name, ids in node.refs.items():
+                    for target in ids:
+                        if get(target) is None:
+                            bad.append(_missing_target(node, name, target))
+                    for target in set(ids):
+                        referrers.setdefault((target, cls, name), []).append(node)
+                continue
+            for name, field_name, many, required, targets, backward in _REF_PLANS[cls]:
+                ids = getattr(node, field_name)
+                if not many:
+                    if not ids:
+                        if required:
+                            bad.append(Violation(
+                                DANGLING_REF, node.id,
+                                f"required reference {name!r} holds no object id"))
+                        continue
+                    ids = (ids,)
                 for target in ids:
                     got = get(target)
                     if got is None:
-                        bad.append(Violation(
-                            DANGLING_REF, node.id,
-                            f"reference {name!r} to missing object {target!r}"))
+                        bad.append(_missing_target(node, name, target))
                     elif targets is not None and got.cls not in targets:
                         bad.append(Violation(
                             DANGLING_REF, node.id,
@@ -468,6 +502,8 @@ class InstanceGraph:
         self._rows = {name: tuple(nodes) for name, nodes in rows.items()}
         self._referrers = {key: tuple(nodes) for key, nodes in referrers.items()}
         self._ref_violations = tuple(bad)
+        self._minutes = minutes
+        self._latest = max([0, *(m for m in minutes.values() if m is not None)])
 
     @property
     def ref_violations(self) -> tuple[Violation, ...]:
@@ -505,16 +541,15 @@ class InstanceGraph:
     def resolve(self, ids: Sequence[str]) -> list[Node]:
         return [self._objects[i] for i in ids if i in self._objects]
 
+    def minutes(self, raw: str | None) -> int | None:
+        """The minutes of ``raw``, a timestamp some node of the graph holds;
+        None when it is not one or does not parse."""
+        return self._minutes.get(raw)
+
     def latest_minutes(self) -> int:
-        """Latest timestamp in the graph, in minutes; 0 for a dateless graph."""
-        latest = 0
-        for node in self:
-            for raw in _timestamps_of(node):
-                try:
-                    latest = max(latest, parse_minutes(raw))
-                except TimestampError:
-                    continue
-        return latest
+        """Latest timestamp in the graph, in minutes; 0 for a dateless graph
+        or one whose timestamps all fall before 1970."""
+        return self._latest
 
 
 # Model class -> the broader class name under which ``of_class`` also
@@ -542,18 +577,30 @@ _REF_PLANS: dict[str, tuple[tuple, ...]] = {
 }
 
 
-def _timestamps_of(node: Node) -> list[str]:
-    out: list[str] = []
-    for spec in CLASS_ATTRS.get(node.cls, ()):
-        if spec.kind == "ts":
-            value = getattr(node, spec.name, None)
-            if isinstance(value, str) and value:
-                out.append(value)
-    if isinstance(node, DPIA) and node.consultation is not None:
-        out.append(node.consultation.requestedAt)
-        if node.consultation.adviceAt:
-            out.append(node.consultation.adviceAt)
-    return out
+def _missing_target(node: Node, name: str, target: str) -> Violation:
+    return Violation(DANGLING_REF, node.id,
+                     f"reference {name!r} to missing object {target!r}")
+
+
+def _nested_stamp(nested: str, name: str):
+    """Getter of the timestamp ``name`` inside the optional nested attr
+    ``nested``."""
+    def stamp(node: Node) -> str | None:
+        value = getattr(node, nested)
+        return None if value is None else getattr(value, name)
+    return stamp
+
+
+# Per typed class, built once: a getter of each timestamp field, nested ones
+# included. InstanceGraph parses each distinct timestamp once.
+_TIMESTAMP_GETTERS: dict[str, tuple] = {
+    cls: tuple(attrgetter(spec.name) for spec in CLASS_ATTRS[cls] if spec.kind == "ts")
+    for cls in DATACLASS_FOR
+}
+_TIMESTAMP_GETTERS["Data_Protection_Impact_Assessment"] += (
+    _nested_stamp("consultation", "requestedAt"),
+    _nested_stamp("consultation", "adviceAt"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -660,33 +707,21 @@ def _node_invariants(graph: InstanceGraph, node: Node, profile) -> list[Violatio
             add(Violation(INVARIANT, node.id,
                           "processing must declare at least one purpose"))
     elif isinstance(node, RightRequest):
-        if node.respondedAt is not None and node.receivedAt:
-            try:
-                if parse_minutes(node.respondedAt) < parse_minutes(node.receivedAt):
-                    add(Violation(INVARIANT, node.id,
-                                  "response precedes the request"))
-            except TimestampError:
-                pass
+        responded = graph.minutes(node.respondedAt)
+        received = graph.minutes(node.receivedAt)
+        if responded is not None and received is not None and responded < received:
+            add(Violation(INVARIANT, node.id, "response precedes the request"))
         if node.denialReason is not None and node.denialReason not in enums.DENIAL_REASONS:
             add(Violation(BAD_LITERAL, node.id,
                           f"denialReason: {node.denialReason!r} is not a known "
                           "denial or restriction reason"))
     elif isinstance(node, Breach):
-        try:
-            detected = parse_minutes(node.detectedAt)
-        except TimestampError:
-            detected = None
+        detected = graph.minutes(node.detectedAt)
         if detected is not None:
             for label in ("saNotifiedAt", "subjectsCommunicatedAt", "controllersInformedAt"):
-                raw = getattr(node, label)
-                if raw is None:
-                    continue
-                try:
-                    if parse_minutes(raw) < detected:
-                        add(Violation(INVARIANT, node.id,
-                                      f"{label} precedes detection"))
-                except TimestampError:
-                    pass
+                later = graph.minutes(getattr(node, label))
+                if later is not None and later < detected:
+                    add(Violation(INVARIANT, node.id, f"{label} precedes detection"))
     elif isinstance(node, DataTransfer):
         bad.extend(_basis_invariants(node))
     elif isinstance(node, TurnoverContext):

@@ -240,12 +240,7 @@ class EvalContext:
     # -- graph shorthands -----------------------------------------------------
 
     def minutes(self, raw: str | None) -> int | None:
-        if not raw:
-            return None
-        try:
-            return timebase.parse_minutes(raw)
-        except timebase.TimestampError:
-            return None
+        return self.graph.minutes(raw)
 
     def scope(self) -> list[DataProcessing]:
         """Processings the substantive rules quantify over: personal data is

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
+from unittest import mock
 
 import pytest
 
@@ -299,6 +301,75 @@ def test_paired_surrogate_escapes_and_escaped_backslashes_stay_valid(
         canonical = serialize_instance(graph)
         assert graph_fingerprint(graph) == \
             hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Decoding object by object
+# ---------------------------------------------------------------------------
+
+def load_outcome(data: bytes | str):
+    """The canonical text of the loaded graph, or the LoadError's fields."""
+    try:
+        return serialize_instance(load_instance(data))
+    except LoadError as error:
+        return (error.code, error.object_id, error.line, error.column, str(error),
+                [(v.code, v.objectId, v.message) for v in error.violations])
+
+
+def whole_document_outcome(data: bytes | str):
+    """``load_outcome`` with the object-by-object stream declining, so the
+    document is parsed whole."""
+    with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+        return load_outcome(data)
+
+
+@pytest.mark.parametrize("layout", [
+    {}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")},
+    {"separators": (" ,\r\n ", " : ")}, {"ensure_ascii": False},
+])
+def test_valid_documents_are_streamed_in_any_layout(monkeypatch, layout):
+    document = compliant_document()
+    find(document, "ctrl")["attrs"]["contactDetails"] = "bureau é"
+    text = json.dumps(document, **layout)
+    expected = serialize_instance(load_instance(document_bytes(document)))
+
+    def no_whole_document(text, from_str):
+        raise AssertionError("the document was parsed whole")
+
+    monkeypatch.setattr(ingest, "_document_nodes", no_whole_document)
+    for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
+        assert serialize_instance(load_instance(source)) == expected
+
+
+def top_level_texts():
+    """Instance texts whose top-level members vary: the objects among valid,
+    wrong, unknown and repeated members, then faulty separators, leads and
+    tails."""
+    objects = '"objects": ' + json.dumps(compliant_document()["objects"])
+    extras = ['"schemaVersion": "1"', '"schemaVersion": "2"', '"schemaVersion": 1',
+              '"objects": []', '"objects": {}', '"zeta": []', '"zeta": 1']
+    for count in range(3):
+        for chosen in itertools.product(extras, repeat=count):
+            for at in range(count + 1):
+                members = list(chosen)
+                members.insert(at, objects)
+                yield "{" + ", ".join(members) + "}"
+    for separator in (",", " ,\n\t", " ", "x", "]", ",,", ", }"):
+        yield "{" + objects + separator + '"schemaVersion": "1"}'
+    for lead in ("", " ", "x", "[", "{{"):
+        for tail in ("", " \n", " x", "{}", "]", ","):
+            yield lead + "{" + objects + "}" + tail
+    yield "{}"
+    yield '{"objects": [,]}'
+    yield '{"objects": [ ]}'
+    yield '{"objects": [] ,"schemaVersion":"1" }'
+
+
+def test_top_level_members_load_as_a_whole_document_parse_does():
+    for text in top_level_texts():
+        data = text.encode("utf-8")
+        assert load_outcome(data) == whole_document_outcome(data), \
+            text[:20] + " ... " + text[-40:]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ output of the loader before its per-class plans existed.
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 import pytest
 
 from fixtures import compliant_document, document_bytes, find
-from gdpr_engine import load_instance, load_profile
+from gdpr_engine import load_instance, load_profile, serialize_instance
 from gdpr_engine.ingest import LoadError
 from gdpr_engine.variability import Resolution, build_profile
 
@@ -458,3 +459,79 @@ def test_basis_kind_that_is_not_a_string_is_a_bad_literal():
         load_instance(document_bytes(document))
     assert str(excinfo.value) == \
         "BAD_LITERAL (object 'tr_eu'): basis kind [] is not a transfer basis"
+
+
+# Documents with several faults report the one a whole-document parse finds
+# first: syntax anywhere, then a lone surrogate, then the top-level keys,
+# then each object and duplicate id in document order. Each text is built
+# from pieces of JSON, so a fault can follow the objects.
+BAD_OBJECT = '{"id": "x", "class": "Quantum_Flux"}'
+
+
+def _objects(*extra: str) -> str:
+    """The compliant fixture's objects array, with ``extra`` appended."""
+    return "[" + ", ".join([json.dumps(o) for o in compliant_document()["objects"]]
+                           + list(extra)) + "]"
+
+
+def _load_error(text: str) -> LoadError:
+    with pytest.raises(LoadError) as excinfo:
+        load_instance(text.encode("utf-8"))
+    return excinfo.value
+
+
+def test_syntax_error_after_a_bad_object_comes_first():
+    text = '{"objects": ' + _objects(BAD_OBJECT) + ', "schemaVersion": nul}'
+    error = _load_error(text)
+    column = text.index("nul") + 1
+    assert (error.code, error.line, error.column, str(error)) == (
+        "SYNTAX", 1, column, f"SYNTAX at line 1, column {column}: Expecting value")
+
+
+def test_wrong_schema_version_after_the_objects_comes_first():
+    error = _load_error('{"objects": ' + _objects(BAD_OBJECT) + ', "schemaVersion": "2"}')
+    assert str(error) == "SCHEMA: unsupported schemaVersion '2'"
+
+
+def test_unknown_top_level_key_after_a_bad_object_comes_first():
+    error = _load_error('{"objects": ' + _objects(BAD_OBJECT) + ', "zeta": 1}')
+    assert str(error) == "SCHEMA: unknown top-level keys: zeta"
+
+
+def test_last_of_two_objects_keys_is_loaded():
+    text = '{"objects": [' + BAD_OBJECT + '], "objects": ' + _objects() + "}"
+    graph = load_instance(text.encode("utf-8"))
+    assert serialize_instance(graph) == \
+        serialize_instance(load_instance(document_bytes(compliant_document())))
+
+
+def test_syntax_error_after_a_duplicate_id_comes_first():
+    duplicate = json.dumps(find(compliant_document(), "US"))
+    text = '{"objects": ' + _objects(duplicate) + ', "schemaVersion": nul}'
+    error = _load_error(text)
+    column = text.index("nul") + 1
+    assert str(error) == f"SYNTAX at line 1, column {column}: Expecting value"
+
+
+def test_duplicate_id_before_a_bad_object_comes_first():
+    duplicate = json.dumps(find(compliant_document(), "US"))
+    error = _load_error('{"objects": ' + _objects(duplicate, BAD_OBJECT) + "}")
+    assert str(error) == "DUPLICATE_ID (object 'US'): object id 'US' declared twice"
+
+
+def test_bad_object_before_a_duplicate_id_comes_first():
+    duplicate = json.dumps(find(compliant_document(), "US"))
+    error = _load_error('{"objects": ' + _objects(BAD_OBJECT, duplicate) + "}")
+    assert str(error) == "UNKNOWN_CLASS (object 'x'): unknown class 'Quantum_Flux'"
+
+
+def test_lone_surrogate_after_a_bad_object_comes_first():
+    error = _load_error('{"objects": ' + _objects(BAD_OBJECT)
+                        + ', "schemaVersion": "\\ud800"}')
+    assert str(error) == ("SYNTAX: a string holds the lone surrogate U+D800, "
+                          "which UTF-8 cannot encode")
+
+
+def test_number_error_after_a_bad_object_comes_first():
+    error = _load_error('{"objects": ' + _objects(BAD_OBJECT) + ', "schemaVersion": NaN}')
+    assert str(error) == "SYNTAX: NaN is not a JSON number"

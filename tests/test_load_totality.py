@@ -6,11 +6,16 @@ dicts, non-string ids, extreme ints, floats, and timestamps near the ends of
 years 1-9999, or with a value of some field's shape (ids, enumeration
 literals, booleans). Keys are drawn from the class's own attr and ref names, the
 fixture's keys and random text, so both known and unknown fields are hit.
+
+The same documents, and random valid graphs, some with a JSON fragment
+spliced into their text, also check that decoding object by object loads
+what a whole-document parse loads, or fails with the same error.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,8 @@ from gdpr_engine.model import (
     validate_graph,
 )
 from gdpr_engine.registry import UnknownClassError, canonical_class_name
+from test_canonical_encoding import documents
+from test_ingest import load_outcome, whole_document_outcome
 
 BASE = compliant_document()
 IDS = sorted(o["id"] for o in BASE["objects"])
@@ -134,3 +141,49 @@ def test_any_json_in_any_field_gives_a_graph_or_a_load_error(document):
         return
     assert isinstance(graph, InstanceGraph)
     assert validate_graph(graph) == []
+
+
+SPACE = st.sampled_from(["", " ", "\n", "\t ", "\r\n  "])
+# Top-level members beside the objects: valid, wrong, unknown and repeated.
+EXTRA_MEMBERS = st.sampled_from([
+    '"schemaVersion": "1"', '"schemaVersion": "2"', '"schemaVersion": 1',
+    '"objects": []', '"objects": {}', '"zeta": []', '"zeta": 1',
+])
+# Fragments that break a document's syntax, schema or encoding when spliced
+# in anywhere.
+SPLICES = st.sampled_from([
+    "nul", "NaN", "1e999999", "9" * 5000, ",", "]", "}", "[", "{", '"', ":",
+    " ", "\n", "\\ud800", '"zeta": 1, ', '"objects": [], ',
+])
+
+
+@st.composite
+def instance_texts(draw) -> bytes | str:
+    """An instance document's text: its top-level members in any order and
+    any whitespace, the objects written compact, spaced or indented, and now
+    and then one fragment spliced in or one character dropped."""
+    objects = json.dumps(
+        draw(documents() | mutated_documents())["objects"],
+        ensure_ascii=draw(st.booleans()),
+        indent=draw(st.sampled_from([None, None, 0, 2])),
+        separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])))
+    members = draw(st.permutations(['"objects": ' + objects]
+                                   + draw(st.lists(EXTRA_MEMBERS, max_size=2))))
+    text = draw(SPACE) + "{" + draw(SPACE)
+    for index, member in enumerate(members):
+        if index:
+            # A lone space is a missing comma.
+            text += draw(st.sampled_from([",", ", ", " ,\n", " "]))
+        text += member + draw(SPACE)
+    text += "}" + draw(st.sampled_from(["", " \n", " x", "{}"]))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    text = draw(st.sampled_from([
+        text, text, text[:at] + draw(SPLICES) + text[at:], text[:at] + text[at + 1:]]))
+    return text if draw(st.booleans()) else text.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance_texts())
+def test_streamed_load_matches_the_whole_document_path(data):
+    assert load_outcome(data) == whole_document_outcome(data)

@@ -4,9 +4,11 @@ The guards count instead of timing. One counts graph lookups: the rows
 returned by ``InstanceGraph.of_class`` plus the entries returned by
 ``InstanceGraph.referrers`` during one ``evaluate_all``. A rule that scans a
 whole class once per processing makes the count grow with the square of the
-landscape, about 4x when it doubles. The other counts the bytes allocated at
+landscape, about 4x when it doubles. The others count the bytes allocated at
 the peak of ``graph_fingerprint``, which streams the canonical document into
-the hash and so holds one object's text at a time.
+the hash and so holds one object's text at a time, and of ``load_instance``,
+which decodes the document one object at a time and so never holds a JSON
+tree of the whole document.
 """
 
 from __future__ import annotations
@@ -85,3 +87,22 @@ def test_fingerprint_memory_does_not_grow_with_the_graph():
         peaks[replicas] = fingerprint_peak_bytes(graph)
     assert peaks[40] < sizes[40] / 10, (peaks, sizes)
     assert peaks[40] < 1.5 * peaks[4], (peaks, sizes)
+
+
+def test_load_memory_stays_near_the_text_size():
+    """Beyond the graph it returns, a load holds little more than the
+    decoded text: a JSON tree of the whole document would be several times
+    the text's size."""
+    objects = compliant_document()["objects"]
+    document = {"schemaVersion": "1",
+                "objects": [prefixed(o, f"r{i}.") for i in range(40) for o in objects]}
+    data = json.dumps(document).encode("utf-8")
+    load_instance(data)  # warm up: first-call allocations are not the load's
+    tracemalloc.start()
+    try:
+        graph = load_instance(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 40 * len(objects)
+    assert peak - retained < 1.5 * len(data), (peak, retained, len(data))
