@@ -102,23 +102,25 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     The document is decoded one object at a time: each raw object is dropped
     as soon as its node is built, and the text before the graph is built, so
     no JSON tree of the whole document is ever held. A document the stream
-    cannot load is read again whole, which reports its first error. Loading
-    creates no reference cycles, so cyclic garbage collection is paused
-    meanwhile.
+    cannot load is read again whole, which reports its first error. Each
+    path parses each distinct timestamp once, and the graph takes the
+    minutes of those its nodes hold. Loading creates no reference cycles, so
+    cyclic garbage collection is paused meanwhile.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         text = _decode(data)
         from_str = isinstance(data, str)
-        nodes = _stream_nodes(text, from_str)
+        # A declined stream's minutes are dropped with its nodes.
+        nodes, parsed = _stream_nodes(text, from_str) or (None, {})
         if nodes is None:
-            nodes = _document_nodes(text, from_str)
+            nodes = _document_nodes(text, from_str, parsed)
         del text
         nodes = _with_unique_ids(nodes)
 
-        graph = InstanceGraph(nodes)
-        del nodes
+        graph = InstanceGraph(nodes, parsed=parsed)
+        del nodes, parsed
         violations = validate_graph(graph, profile)
         if violations:
             first = violations[0]
@@ -213,8 +215,9 @@ _skip_space = json.decoder.WHITESPACE.match
 _scan_key = json.decoder.scanstring  # the C string reader the scanner uses
 
 
-def _stream_nodes(text: str, from_str: bool) -> list[Node] | None:
-    """The nodes of an instance document, decoded one object at a time.
+def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]] | None:
+    """The nodes of an instance document, decoded one object at a time, and
+    the minutes of each timestamp they hold.
 
     Keys are read with the scanner's string reader and values with
     ``_DECODER.scan_once``, the scanner and number hooks that
@@ -236,6 +239,7 @@ def _stream_nodes(text: str, from_str: bool) -> list[Node] | None:
         return None
     scan = _DECODER.scan_once
     nodes: list[Node] | None = None
+    parsed: dict[str, int] = {}
     keys: set[str] = set()
     try:
         pos = _skip_space(text, 0).end()
@@ -265,7 +269,7 @@ def _stream_nodes(text: str, from_str: bool) -> list[Node] | None:
                 char = text[pos:pos + 1]
                 while char != "]":
                     raw, pos = scan(text, pos)
-                    nodes.append(_build_node(raw, len(nodes)))
+                    nodes.append(_build_node(raw, len(nodes), parsed))
                     # A separator costs a regex match only when it holds
                     # whitespace other than json.dumps' single space.
                     char = text[pos:pos + 1]
@@ -295,12 +299,13 @@ def _stream_nodes(text: str, from_str: bool) -> list[Node] | None:
         return None
     if nodes is None or _skip_space(text, pos + 1).end() != len(text):
         return None
-    return nodes
+    return nodes, parsed
 
 
-def _document_nodes(text: str, from_str: bool) -> Iterator[Node]:
+def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterator[Node]:
     """The nodes of an instance document parsed whole, built one by one as
-    they are drawn, or the LoadError of its first fault.
+    they are drawn, or the LoadError of its first fault. The minutes of
+    their timestamps go to ``parsed``.
 
     The checks run in the order that decides which error a document with
     several faults reports: syntax, a lone surrogate, the top-level keys,
@@ -317,7 +322,7 @@ def _document_nodes(text: str, from_str: bool) -> Iterator[Node]:
     if not isinstance(raw_objects, list):
         _fail(SCHEMA, "objects must be a list")
     for position, raw in enumerate(raw_objects):
-        yield _build_node(raw, position)
+        yield _build_node(raw, position, parsed)
 
 
 def _with_unique_ids(nodes: Iterable[Node]) -> list[Node]:
@@ -341,7 +346,7 @@ def _unknown(names, allowed: frozenset[str]) -> str:
     return ", ".join(sorted(names - allowed))
 
 
-def _build_node(raw: object, position: int) -> Node:
+def _build_node(raw: object, position: int, parsed: dict[str, int]) -> Node:
     if not isinstance(raw, dict):
         _fail(SCHEMA, f"objects[{position}] is not an object")
     if not raw.keys() <= _OBJECT_KEYS:
@@ -369,14 +374,13 @@ def _build_node(raw: object, position: int) -> Node:
     if not isinstance(refs, dict):
         _fail(SCHEMA, "refs must be an object", object_id=object_id)
 
-    plan = _DECODE_PLANS.get(canonical)
-    if plan is None:
+    if canonical not in DATACLASS_FOR:
         # The scanner forgets its key memo between objects, so interning
         # keeps one copy of each open key, as a whole-document parse did.
         return GenericNode(id=object_id, cls=canonical,
                            attrs={intern(key): value for key, value in attrs.items()},
                            refs=_generic_refs(object_id, refs))
-    return _build_typed(object_id, canonical, plan, attrs, refs)
+    return _CODECS[canonical][0](object_id, attrs, refs, parsed)
 
 
 def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
@@ -391,101 +395,11 @@ def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def _build_typed(object_id: str, cls: str, plan: tuple, attrs: dict,
-                 refs: dict) -> Node:
-    dataclass, attr_steps, ref_steps, nested_steps, attr_names, ref_names = plan
-    if not attrs.keys() <= attr_names:
-        _fail(SCHEMA, f"{cls} does not define attrs: "
-                      f"{_unknown(attrs.keys(), attr_names)}", object_id=object_id)
-    if not refs.keys() <= ref_names:
-        _fail(SCHEMA, f"{cls} does not define refs: "
-                      f"{_unknown(refs.keys(), ref_names)}", object_id=object_id)
-
-    kwargs: dict[str, object] = {}
-    for name, required, decode in attr_steps:
-        value = attrs.get(name)
-        if value is None:
-            if required:
-                _fail(SCHEMA, f"{cls}.{name} is required", object_id=object_id)
-            continue
-        kwargs[name] = decode(object_id, value)
-
-    for name, field_name, required, many in ref_steps:
-        value = refs.get(name)
-        if value is None:
-            if required:
-                _fail(SCHEMA, f"{cls} ref {name!r} is required",
-                      object_id=object_id)
-            continue
-        if many:
-            ids = value if isinstance(value, list) else [value]
-            for target in ids:
-                if not isinstance(target, str) or not target:
-                    _fail(SCHEMA, f"{cls} ref {name!r} must hold object ids",
-                          object_id=object_id)
-            kwargs[field_name] = tuple(sorted(ids))
-        else:
-            if isinstance(value, list):
-                if len(value) != 1:
-                    _fail(SCHEMA, f"{cls} ref {name!r} takes a single id",
-                          object_id=object_id)
-                value = value[0]
-            if not isinstance(value, str) or not value:
-                _fail(SCHEMA, f"{cls} ref {name!r} must hold an object id",
-                      object_id=object_id)
-            kwargs[field_name] = value
-
-    for name, required, decode in nested_steps:
-        if required or name in attrs:
-            kwargs[name] = decode(object_id, attrs.get(name))
-
-    return dataclass(id=object_id, cls=cls, **kwargs)
-
-
-def _attr_decoder(cls: str, spec):
-    """decode(object_id, value) for one attr: checks the value's type and
-    returns the field value. The label is built once, here."""
-    label = f"{cls}.{spec.name}"
-    if spec.many or spec.kind == "strlist":
-        ordered = spec.name in _ORDERED_STR_LISTS
-
-        def decode(object_id: str, value: object):
-            if not isinstance(value, list):
-                _fail(SCHEMA, f"{label} must be a list", object_id=object_id)
-            for item in value:
-                if not isinstance(item, str):
-                    _fail(SCHEMA, f"{label} entries must be strings",
-                          object_id=object_id)
-            return tuple(value) if ordered else tuple(sorted(set(value)))
-    elif spec.kind == "bool":
-        def decode(object_id: str, value: object):
-            if not isinstance(value, bool):
-                _fail(SCHEMA, f"{label} must be a boolean", object_id=object_id)
-            return value
-    elif spec.kind == "int":
-        nonneg = spec.nonneg
-
-        def decode(object_id: str, value: object):
-            if not isinstance(value, int) or isinstance(value, bool):
-                _fail(SCHEMA, f"{label} must be an integer", object_id=object_id)
-            if nonneg and value < 0:
-                _fail(SCHEMA, f"{label} must be non-negative", object_id=object_id)
-            return value
-    elif spec.kind == "ts":
-        def decode(object_id: str, value: object):
-            _check_timestamp(object_id, label, value)
-            return value
-    else:
-        def decode(object_id: str, value: object):
-            if not isinstance(value, str):
-                _fail(SCHEMA, f"{label} must be a string", object_id=object_id)
-            return value
-    return decode
-
-
-def _check_timestamp(object_id: str, label: str, value: object) -> None:
+def _parse_timestamp(object_id: str, label: str, value: object,
+                     parsed: dict[str, int]) -> None:
+    """Store the minutes of the timestamp ``value`` in ``parsed``, or fail."""
     try:
-        parse_minutes(value)
+        parsed[value] = parse_minutes(value)
     except TimestampRangeError as exc:
         _fail(SCHEMA, f"{label}: {exc}", object_id=object_id)
     except TimestampError:
@@ -534,7 +448,8 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
     return TransferBasis(**kwargs)
 
 
-def _build_consultation(object_id: str, raw: object) -> Consultation:
+def _build_consultation(object_id: str, raw: object,
+                        parsed: dict[str, int]) -> Consultation:
     if not isinstance(raw, dict):
         _fail(SCHEMA, "consultation must be an object", object_id=object_id)
     unknown = sorted(set(raw) - {"requestedAt", "adviceAt", "extended"})
@@ -542,10 +457,11 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
         _fail(SCHEMA, f"consultation does not define: {', '.join(unknown)}",
               object_id=object_id)
     requested = raw.get("requestedAt")
-    _check_timestamp(object_id, "consultation.requestedAt", requested)
+    if type(requested) is not str or requested not in parsed:
+        _parse_timestamp(object_id, "consultation.requestedAt", requested, parsed)
     advice = raw.get("adviceAt")
-    if advice is not None:
-        _check_timestamp(object_id, "consultation.adviceAt", advice)
+    if advice is not None and (type(advice) is not str or advice not in parsed):
+        _parse_timestamp(object_id, "consultation.adviceAt", advice, parsed)
     extended = raw.get("extended", False)
     if not isinstance(extended, bool):
         _fail(SCHEMA, "consultation.extended must be a boolean",
@@ -553,30 +469,122 @@ def _build_consultation(object_id: str, raw: object) -> Consultation:
     return Consultation(requestedAt=requested, adviceAt=advice, extended=extended)
 
 
-# Nested attrs, decoded after the refs: (name, required, decoder) per class.
-_NESTED_DECODERS = {"basis": _build_basis, "consultation": _build_consultation}
-_NESTED_STEPS: dict[str, tuple[tuple[str, bool, object], ...]] = {
-    cls: tuple((spec.name, spec.required, _NESTED_DECODERS[spec.name]) for spec in specs)
-    for cls, specs in NESTED_ATTRS.items()}
-_NESTED_NAMES: dict[str, frozenset[str]] = {
-    cls: frozenset(spec.name for spec in specs) for cls, specs in NESTED_ATTRS.items()}
+# The source of each generated codec, by (kind, wire class), for reading.
+_CODEC_SOURCE: dict[tuple[str, str], str] = {}
 
-# Per typed class, built once: (dataclass, (name, required, decoder) per
-# attr, (name, field name, required, many) per ref, the nested steps,
-# allowed attr names, allowed ref names).
-_DECODE_PLANS: dict[str, tuple] = {}
-for _cls, _dataclass in DATACLASS_FOR.items():
-    _attrs = CLASS_ATTRS.get(_cls, ())
-    _refs = CLASS_REFS.get(_cls, ())
-    _DECODE_PLANS[_cls] = (
-        _dataclass,
-        tuple((spec.name, spec.required, _attr_decoder(_cls, spec)) for spec in _attrs),
-        tuple((spec.name, spec.field_name, spec.required, spec.many) for spec in _refs),
-        _NESTED_STEPS.get(_cls, ()),
-        frozenset(spec.name for spec in _attrs) | _NESTED_NAMES.get(_cls, frozenset()),
-        frozenset(spec.name for spec in _refs),
-    )
-del _cls, _dataclass, _attrs, _refs
+
+class _Codecs(dict):
+    """The (decoder, encoder) pair of each typed wire class, generated from
+    the field table the first time the class is met, so an import builds
+    none. Threads that race on a class both build the same pair, and either
+    is kept."""
+
+    def __missing__(self, cls: str) -> tuple:
+        sources = {"decode": _decoder_source(cls), "encode": _encoder_source(cls)}
+        attrs = CLASS_ATTRS[cls] + NESTED_ATTRS.get(cls, ())
+        constants = {"NODE": DATACLASS_FOR[cls], "ATTRS": frozenset(s.name for s in attrs),
+                     "REFS": frozenset(s.name for s in CLASS_REFS[cls])}
+        # As dataclasses._create_fn does: the codecs close over their class's
+        # constants and read every other name from this module.
+        body = "".join(sources.values()).replace("\n", "\n    ")  # ends in the indent
+        factory = f"def create({', '.join(constants)}):\n    {body}return decode, encode\n"
+        namespace: dict[str, object] = {}
+        exec(compile(factory, f"<codecs {cls}>", "exec"), globals(), namespace)
+        codecs = self[cls] = namespace["create"](**constants)
+        _CODEC_SOURCE.update({(kind, cls): source for kind, source in sources.items()})
+        return codecs
+
+
+_CODECS = _Codecs()
+
+
+# Per scalar attr kind: a condition true for a wrong value, and what it must be.
+_ATTR_CHECKS = {"str": ("type({0}) is not str", "a string"),
+                "bool": ("{0} is not True and {0} is not False", "a boolean"),
+                "int": ("type({0}) is not int", "an integer")}
+_NESTED_CALLS = {"basis": "_build_basis(object_id, {0})",
+                 "consultation": "_build_consultation(object_id, {0}, parsed)"}
+
+
+def _decoder_source(cls: str) -> str:
+    """Source of ``decode(object_id, attrs, refs, parsed)`` for the typed wire
+    class ``cls``: it checks unknown attrs, unknown refs, each attr and ref in
+    table order, then the nested attrs, and calls the node class once. Values
+    come from the JSON scanner, so exact type tests stand for isinstance."""
+    node_fields = fields(DATACLASS_FOR[cls])
+    defaults = {f.name: repr(f.default) for f in node_fields}
+    args = {"id": "object_id", "cls": repr(cls)}  # field -> its value's source
+    lines = ["def decode(object_id, attrs, refs, parsed):"]
+
+    def add(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
+
+    def fail(depth: int, message: str) -> None:
+        add(depth, f"_fail(SCHEMA, {message}, object_id=object_id)")
+
+    def take(part: str, spec, value: str, label: str) -> None:
+        """Read the field into ``value``; absent, it is required or defaults."""
+        args[spec.field_name] = value
+        add(1, f"{value} = {part}.get({spec.name!r})")
+        add(1, f"if {value} is None:")
+        if spec.required:
+            fail(2, repr(f"{label} is required"))
+        else:
+            add(2, f"{value} = {defaults[spec.field_name]}")
+
+    for part, allowed in (("attrs", "ATTRS"), ("refs", "REFS")):
+        add(1, f"if not {part}.keys() <= {allowed}:")
+        fail(2, f"{f'{cls} does not define {part}: '!r} + _unknown({part}.keys(), {allowed})")
+    for spec in CLASS_ATTRS[cls]:
+        value, label = "a_" + spec.name, f"{cls}.{spec.name}"
+        take("attrs", spec, value, label)
+        if spec.many or spec.kind == "strlist":
+            add(1, f"elif type({value}) is not list:")
+            fail(2, repr(f"{label} must be a list"))
+            add(1, "else:")
+            add(2, f"for item in {value}:")
+            add(3, "if type(item) is not str:")
+            fail(4, repr(f"{label} entries must be strings"))
+            kept = value if spec.name in _ORDERED_STR_LISTS else f"sorted(set({value}))"
+            add(2, f"{value} = tuple({kept})")
+        elif spec.kind == "ts":
+            add(1, f"elif type({value}) is not str or {value} not in parsed:")
+            add(2, f"_parse_timestamp(object_id, {label!r}, {value}, parsed)")
+        else:
+            wrong, what = _ATTR_CHECKS[spec.kind]
+            add(1, f"elif {wrong.format(value)}:")
+            fail(2, repr(f"{label} must be {what}"))
+            if spec.nonneg:
+                add(1, f"elif {value} < 0:")
+                fail(2, repr(f"{label} must be non-negative"))
+    for spec in CLASS_REFS[cls]:
+        value, label = "r_" + spec.field_name, f"{cls} ref {spec.name!r}"
+        take("refs", spec, value, label)
+        add(1, "else:")
+        if spec.many:
+            add(2, f"if type({value}) is not list:")
+            add(3, f"{value} = [{value}]")
+            add(2, f"for item in {value}:")
+            add(3, "if type(item) is not str or not item:")
+            fail(4, repr(f"{label} must hold object ids"))
+            add(2, f"{value} = tuple(sorted({value}))")
+        else:
+            add(2, f"if type({value}) is list:")
+            add(3, f"if len({value}) != 1:")
+            fail(4, repr(f"{label} takes a single id"))
+            add(3, f"{value} = {value}[0]")
+            add(2, f"if type({value}) is not str or not {value}:")
+            fail(3, repr(f"{label} must hold an object id"))
+    for spec in NESTED_ATTRS.get(cls, ()):
+        # A required nested attr is decoded even when absent, so that its
+        # decoder reports it.
+        args[spec.name] = "a_" + spec.name
+        build = _NESTED_CALLS[spec.kind].format(f"attrs.get({spec.name!r})")
+        if not spec.required:
+            build += f" if {spec.name!r} in attrs else {defaults[spec.name]}"
+        add(1, f"a_{spec.name} = {build}")
+    add(1, f"return NODE({', '.join(args.get(f.name, defaults[f.name]) for f in node_fields)})")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -586,40 +594,27 @@ del _cls, _dataclass, _attrs, _refs
 # Canonical JSON is what json.dumps(value, sort_keys=True,
 # separators=(",", ":"), ensure_ascii=False) prints; ``canonical_json`` writes
 # it for any JSON value. The graph's canonical document is the canonical JSON
-# of its wire form, written object by object from per-class plans, so neither
-# the wire dicts nor the whole text are built to hash it.
+# of its wire form, written object by object by per-class encoders, so
+# neither the wire dicts nor the whole text are built to hash it.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   ensure_ascii=False).encode
 _encode_str = json.encoder.encode_basestring  # json.dumps' ensure_ascii=False escaper
 _JSON_BOOL = {True: "true", False: "false"}
-_SCALAR_ENCODERS = {"bool": _JSON_BOOL.__getitem__, "int": int.__repr__}
 
 
 def _encode_strs(values: Sequence[str]) -> str:
     return "[" + ",".join(map(_encode_str, values)) + "]"
 
 
-def _attr_encoder(spec) -> object:
-    if spec.many or spec.kind == "strlist":
-        return _encode_strs
-    return _SCALAR_ENCODERS.get(spec.kind, _encode_str)
-
-
-def _plan(fields) -> tuple[tuple[str, str, object], ...]:
-    """(member prefix, field, encoder) for each (wire name, field, encoder),
-    sorted by wire name."""
-    return tuple((_encode_str(wire) + ":", name, encode)
-                 for wire, name, encode in sorted(fields))
-
-
 def _nested_plan(sample, names) -> tuple[tuple[str, str, object], ...]:
-    """The plan of ``names``; each encoder follows the type of the field's
-    default in ``sample``."""
+    """(member prefix, field, encoder) for each of ``names``, sorted; each
+    encoder follows the type of the field's default in ``sample``."""
     def encoder(default):
         if isinstance(default, tuple):
             return _encode_strs
         return _JSON_BOOL.__getitem__ if isinstance(default, bool) else _encode_str
-    return _plan((name, name, encoder(getattr(sample, name))) for name in names)
+    return tuple((_encode_str(name) + ":", name, encoder(getattr(sample, name)))
+                 for name in sorted(names))
 
 
 _BASIS_PLANS = {kind: _nested_plan(TransferBasis(kind), allowed | {"kind"})
@@ -643,41 +638,44 @@ def _encode_consultation(consultation: Consultation) -> str:
     return _encode_nested(consultation, _CONSULTATION_PLAN)
 
 
-_NESTED_ENCODERS = {"basis": _encode_basis, "consultation": _encode_consultation}
+# The expression that writes an attr's value, by kind (a ``many`` one as a strlist).
+_ATTR_ENCODINGS = {"bool": "_JSON_BOOL[value]", "int": "int.__repr__(value)",
+                   "str": "_encode_str(value)", "ts": "_encode_str(value)",
+                   "strlist": "_encode_strs(value)", "basis": "_encode_basis(value)",
+                   "consultation": "_encode_consultation(value)"}
 
 
-# Per typed class, built once: (attr plan, ref plan, the text between the
-# attrs and the id). Attrs are left out when None, refs when empty.
-_ENCODE_PLANS: dict[str, tuple[tuple, tuple, str]] = {}
-for _cls in DATACLASS_FOR:
-    _attrs = [(spec.name, spec.name, _attr_encoder(spec))
-              for spec in CLASS_ATTRS.get(_cls, ())]
-    _attrs += [(name, name, _NESTED_ENCODERS[name])
-               for name in _NESTED_NAMES.get(_cls, ())]
-    _refs = [(spec.name, spec.field_name, _encode_strs if spec.many else _encode_str)
-             for spec in CLASS_REFS.get(_cls, ())]
-    _ENCODE_PLANS[_cls] = (_plan(_attrs), _plan(_refs),
-                           '},"class":' + _encode_str(_cls) + ',"id":')
-del _cls, _attrs, _refs
+def _encoder_source(cls: str) -> str:
+    """Source of ``encode(node)``, which writes the canonical text of a node
+    of the typed wire class ``cls``: attrs and refs each sorted by wire
+    name, an attr left out when None and a ref when empty."""
+    attrs = [(spec.name, spec.name, _ATTR_ENCODINGS["strlist" if spec.many else spec.kind])
+             for spec in CLASS_ATTRS[cls] + NESTED_ATTRS.get(cls, ())]
+    refs = [(spec.name, spec.field_name, _ATTR_ENCODINGS["strlist" if spec.many else "str"])
+            for spec in CLASS_REFS[cls]]
+    lines = ["def encode(node):"]
+    for part, members, kept in (("attrs", attrs, "(value := node.{0}) is not None"),
+                                ("refs", refs, "value := node.{0}")):
+        lines.append(f"    {part} = []")
+        for wire, field_name, encoding in sorted(members):
+            lines.append(f"    if {kept.format(field_name)}:")
+            lines.append(f"        {part}.append({_encode_str(wire) + ':'!r} + {encoding})")
+    head, middle, tail = '{"attrs":{', '},"class":' + _encode_str(cls) + ',"id":', ',"refs":{'
+    lines.append(f"    return ({head!r} + ','.join(attrs) + {middle!r} + _encode_str(node.id)")
+    lines.append(f"            + {tail!r} + ','.join(refs) + '}}}}')")
+    return "\n".join(lines) + "\n"
+
 
 _DOCUMENT_TAIL = '],"schemaVersion":' + _encode_str(SUPPORTED_SCHEMA_VERSION) + "}"
 
 
-def _object_json(node: Node) -> str:
-    if isinstance(node, GenericNode):
-        refs = ",".join([
-            _encode_str(role) + ":"
-            + (_encode_str(ids[0]) if len(ids) == 1 else _encode_strs(ids))
-            for role, ids in sorted(node.refs.items())])
-        return ('{"attrs":' + canonical_json(node.attrs) + ',"class":'
-                + _encode_str(node.cls) + ',"id":' + _encode_str(node.id)
-                + ',"refs":{' + refs + "}}")
-    attr_fields, ref_fields, class_member = _ENCODE_PLANS[node.cls]
-    attrs = ",".join([key + encode(value) for key, name, encode in attr_fields
-                      if (value := getattr(node, name)) is not None])
-    refs = ",".join([key + encode(value) for key, name, encode in ref_fields
-                     if (value := getattr(node, name))])
-    return ('{"attrs":{' + attrs + class_member + _encode_str(node.id)
+def _generic_json(node: GenericNode) -> str:
+    refs = ",".join([
+        _encode_str(role) + ":"
+        + (_encode_str(ids[0]) if len(ids) == 1 else _encode_strs(ids))
+        for role, ids in sorted(node.refs.items())])
+    return ('{"attrs":' + canonical_json(node.attrs) + ',"class":'
+            + _encode_str(node.cls) + ',"id":' + _encode_str(node.id)
             + ',"refs":{' + refs + "}}")
 
 
@@ -686,7 +684,8 @@ def _canonical_chunks(graph: InstanceGraph) -> Iterator[str]:
     yield '{"objects":['
     separator = ""
     for node in graph:
-        yield separator + _object_json(node)
+        yield separator + (_generic_json(node) if type(node) is GenericNode
+                           else _CODECS[node.cls][1](node))
         separator = ","
     yield _DOCUMENT_TAIL
 

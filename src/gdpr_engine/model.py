@@ -430,16 +430,18 @@ class InstanceGraph:
     of every class and class expansion and the referrers along the roles
     that rules navigate backwards, and records in ``ref_violations`` each
     reference that does not resolve to an allowed class and each required
-    single reference that holds no id. It parses each distinct timestamp
-    once and keeps its minutes and the latest instant. A node whose Python
-    class does not match its ``cls`` raises ``ValueError``. Lookups then
-    return stored values.
+    single reference that holds no id. It keeps the minutes of each distinct
+    timestamp its nodes hold, and the latest instant: taken from ``parsed``
+    (raw string -> minutes, which a load that parsed them hands over) when
+    there, else parsed once here. A node whose Python class does not match
+    its ``cls`` raises ``ValueError``. Lookups then return stored values.
     """
 
     __slots__ = ("_objects", "_rows", "_referrers", "_ref_violations",
                  "_minutes", "_latest")
 
-    def __init__(self, objects: Sequence[Node]):
+    def __init__(self, objects: Sequence[Node], *,
+                 parsed: Mapping[str, int] | None = None):
         ordered = sorted(objects, key=attrgetter("id"))
         self._objects: dict[str, Node] = {n.id: n for n in ordered}
         if "" in self._objects:
@@ -451,6 +453,7 @@ class InstanceGraph:
         referrers: dict[tuple[str, str, str], list[Node]] = {}
         bad: list[Violation] = []
         minutes: dict[str, int | None] = {}
+        known = {} if parsed is None else parsed
         for node in ordered:
             cls = node.cls
             node_class = DATACLASS_FOR.get(cls, GenericNode)
@@ -464,10 +467,13 @@ class InstanceGraph:
             for stamp in _TIMESTAMP_GETTERS.get(cls, ()):
                 raw = stamp(node)
                 if isinstance(raw, str) and raw not in minutes:
-                    try:
-                        minutes[raw] = parse_minutes(raw)
-                    except TimestampError:
-                        minutes[raw] = None
+                    found = known.get(raw)
+                    if found is None:
+                        try:
+                            found = parse_minutes(raw)
+                        except TimestampError:
+                            pass
+                    minutes[raw] = found
             if node_class is GenericNode:
                 # Generic refs must resolve; their targets are open.
                 for name, ids in node.refs.items():

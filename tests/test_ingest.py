@@ -372,6 +372,28 @@ def test_top_level_members_load_as_a_whole_document_parse_does():
             text[:20] + " ... " + text[-40:]
 
 
+def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():
+    """Two ``objects`` keys: the stream declines the repeated key and the
+    whole-document parse keeps the last array. A later timestamp that only
+    the first array holds must not become the graph's latest instant."""
+    kept = compliant_document()
+    dropped = variant(kept, lambda d: find(d, "breach1")["attrs"].update(
+        detectedAt="2031-07-01T00:00:00Z"))
+    text = ('{"objects": ' + json.dumps(dropped["objects"])
+            + ', "objects": ' + json.dumps(kept["objects"]) + "}")
+    profile = build_profile([])
+    expected = load_instance(document_bytes(kept))
+    with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+        whole = load_instance(text.encode("utf-8"))
+    graph = load_instance(text.encode("utf-8"))
+    assert graph.latest_minutes() == whole.latest_minutes() == expected.latest_minutes()
+    assert graph.latest_minutes() < parse_minutes("2031-07-01T00:00:00Z")
+    check_date = evaluate_all(graph, profile).to_payload()["checkDate"]
+    assert check_date == evaluate_all(whole, profile).to_payload()["checkDate"]
+    assert check_date == evaluate_all(expected, profile).to_payload()["checkDate"]
+    assert serialize_instance(graph) == serialize_instance(expected)
+
+
 # ---------------------------------------------------------------------------
 # Cyclic garbage collection is paused during a load
 # ---------------------------------------------------------------------------

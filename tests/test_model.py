@@ -309,6 +309,28 @@ def test_each_distinct_timestamp_is_parsed_once(monkeypatch):
     evaluate_all(rebuilt, build_profile([]))
 
 
+def test_graph_takes_handed_minutes_only_for_timestamps_it_holds(monkeypatch):
+    """Minutes handed over in ``parsed`` are used for the strings the nodes
+    hold; a string no node holds is ignored, and the rest are parsed."""
+    held, later = "2023-05-10T00:00:00Z", "2023-05-11T00:00:00Z"
+    stale = "2031-01-01T00:00:00Z"
+    breach = Breach(id="b", cls="Breach", processing="p", detectedBy="a",
+                    risk="LOW", detectedAt=held, saNotifiedAt=later)
+    parsed = {held: timebase.parse_minutes(held), stale: timebase.parse_minutes(stale)}
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return timebase.parse_minutes(raw)
+
+    monkeypatch.setattr(model, "parse_minutes", counted)
+    graph = InstanceGraph([LU, breach], parsed=parsed)
+    assert calls == [later]
+    assert graph.minutes(held) == parsed[held]
+    assert graph.minutes(stale) is None
+    assert graph.latest_minutes() == timebase.parse_minutes(later)
+
+
 def test_unparsable_timestamps_of_a_hand_built_graph_read_as_none():
     breach = Breach(id="b", cls="Breach", processing="p", detectedBy="a",
                     risk="LOW", detectedAt="yesterday",

@@ -8,17 +8,22 @@ landscape, about 4x when it doubles. The others count the bytes allocated at
 the peak of ``graph_fingerprint``, which streams the canonical document into
 the hash and so holds one object's text at a time, and of ``load_instance``,
 which decodes the document one object at a time and so never holds a JSON
-tree of the whole document.
+tree of the whole document. The last counts ``parse_minutes`` calls: one
+load parses each distinct timestamp string once, however often it occurs.
 """
 
 from __future__ import annotations
 
 import json
 import tracemalloc
+from collections import Counter
 
 from fixtures import compliant_document, failing_variants, prefixed
-from gdpr_engine import evaluate_all, graph_fingerprint, load_instance, serialize_instance
-from gdpr_engine.model import InstanceGraph
+from gdpr_engine import (
+    evaluate_all, graph_fingerprint, ingest, load_instance, model, serialize_instance,
+)
+from gdpr_engine.model import CLASS_ATTRS, InstanceGraph
+from gdpr_engine.timebase import parse_minutes
 
 
 def replicated(replicas: int) -> bytes:
@@ -106,3 +111,46 @@ def test_load_memory_stays_near_the_text_size():
         tracemalloc.stop()
     assert len(graph) == 40 * len(objects)
     assert peak - retained < 1.5 * len(data), (peak, retained, len(data))
+
+
+def timestamp_slots(document: dict):
+    """(holder dict, key) of every timestamp in ``document``: each attr of
+    kind ``ts`` and the consultation's two instants."""
+    for o in document["objects"]:
+        attrs = o.get("attrs", {})
+        for spec in CLASS_ATTRS.get(o["class"], ()):
+            if spec.kind == "ts" and isinstance(attrs.get(spec.name), str):
+                yield attrs, spec.name
+        consultation = attrs.get("consultation")
+        if isinstance(consultation, dict):
+            for name in ("requestedAt", "adviceAt"):
+                if isinstance(consultation.get(name), str):
+                    yield consultation, name
+
+
+def parse_calls(monkeypatch, data: bytes) -> Counter:
+    """How often one load of ``data`` parses each timestamp string."""
+    calls: Counter = Counter()
+
+    def counted(raw):
+        calls[raw] += 1
+        return parse_minutes(raw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "parse_minutes", counted)
+        patch.setattr(model, "parse_minutes", counted)
+        load_instance(data)
+    return calls
+
+
+def test_a_load_parses_each_distinct_timestamp_once(monkeypatch):
+    repeated = json.loads(replicated(3))
+    distinct = json.loads(replicated(3))
+    for n, (holder, key) in enumerate(timestamp_slots(distinct), 1):
+        # Same minute, another microsecond: the document still loads.
+        holder[key] = holder[key].replace("Z", f".{n:06d}Z")
+    for document, all_distinct in ((repeated, False), (distinct, True)):
+        stamps = [holder[key] for holder, key in timestamp_slots(document)]
+        assert (len(set(stamps)) == len(stamps)) is all_distinct
+        calls = parse_calls(monkeypatch, json.dumps(document).encode("utf-8"))
+        assert calls == Counter(set(stamps))
