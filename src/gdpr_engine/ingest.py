@@ -26,6 +26,7 @@ from . import model
 from .enums import ENUMERATIONS, TRANSFER_BASIS_KIND
 from .model import (
     BAD_LITERAL,
+    BASIS_DEFAULTS,
     BASIS_FIELDS,
     CLASS_ATTRS,
     CLASS_REFS,
@@ -105,7 +106,9 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     cannot load is read again whole, which reports its first error. Each
     path parses each distinct timestamp once, and the graph takes the
     minutes of those its nodes hold. Loading creates no reference cycles, so
-    cyclic garbage collection is paused meanwhile.
+    cyclic garbage collection is paused meanwhile. A successful load with the
+    collector enabled and nothing frozen (``gc.freeze``) then moves every
+    live object, the graph included, to the oldest generation.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -115,17 +118,22 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
         # A declined stream's minutes are dropped with its nodes.
         nodes, parsed = _stream_nodes(text, from_str) or (None, {})
         if nodes is None:
-            nodes = _document_nodes(text, from_str, parsed)
+            nodes = _with_unique_ids(_document_nodes(text, from_str, parsed))
         del text
-        nodes = _with_unique_ids(nodes)
-
-        graph = InstanceGraph(nodes, parsed=parsed)
+        try:
+            graph = InstanceGraph(nodes, parsed=parsed)
+        except ValueError:  # a repeated id: the stream leaves ids to the graph
+            _with_unique_ids(nodes)  # names the first one in document order
+            raise
         del nodes, parsed
         violations = validate_graph(graph, profile)
         if violations:
             first = violations[0]
             raise LoadError(first.code, first.message, object_id=first.objectId,
                             violations=violations)
+        if enabled and not gc.get_freeze_count():
+            gc.freeze()  # then unfreeze: every live object joins the oldest generation
+            gc.unfreeze()
         return graph
     finally:
         if enabled:
@@ -232,7 +240,7 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     ``_document_nodes`` then reads the text whole, so the error reported is
     the one a whole-document load finds first. Ids are not checked here:
     once every object has built, the first repeated id is that error, and
-    ``_with_unique_ids`` finds it after the text is released.
+    ``_with_unique_ids`` names it when ``InstanceGraph`` finds a repeat.
     """
     if _SURROGATE_ESCAPE.search(text) or (
             from_str and not text.isascii() and _SURROGATE.search(text)):
@@ -407,13 +415,6 @@ def _parse_timestamp(object_id: str, label: str, value: object,
               object_id=object_id)
 
 
-# (name, default) of each basis field but the kind, in declaration order. A
-# tuple default means a list of strings, a bool one a boolean, any other a
-# string.
-_BASIS_SCHEMA = tuple((f.name, f.default) for f in fields(TransferBasis)
-                      if f.name != "kind")
-
-
 def _build_basis(object_id: str, raw: object) -> TransferBasis:
     if raw is None:
         _fail(SCHEMA, "Data_Transfer.basis is required", object_id=object_id)
@@ -430,7 +431,7 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
                       f"{kind} basis (exactly one variant may be populated)",
               object_id=object_id)
     kwargs: dict[str, object] = {"kind": kind}
-    for name, default in _BASIS_SCHEMA:
+    for name, default in BASIS_DEFAULTS:
         if name not in raw:
             continue
         value = raw[name]
@@ -482,8 +483,11 @@ class _Codecs(dict):
     def __missing__(self, cls: str) -> tuple:
         sources = {"decode": _decoder_source(cls), "encode": _encoder_source(cls)}
         attrs = CLASS_ATTRS[cls] + NESTED_ATTRS.get(cls, ())
-        constants = {"NODE": DATACLASS_FOR[cls], "ATTRS": frozenset(s.name for s in attrs),
-                     "REFS": frozenset(s.name for s in CLASS_REFS[cls])}
+        node_class = DATACLASS_FOR[cls]
+        constants = {"NODE": node_class, "ATTRS": frozenset(s.name for s in attrs),
+                     "REFS": frozenset(s.name for s in CLASS_REFS[cls]),
+                     **{"SET_" + f.name: getattr(node_class, f.name).__set__  # slot setters
+                        for f in fields(node_class)}}
         # As dataclasses._create_fn does: the codecs close over their class's
         # constants and read every other name from this module.
         body = "".join(sources.values()).replace("\n", "\n    ")  # ends in the indent
@@ -509,9 +513,11 @@ _NESTED_CALLS = {"basis": "_build_basis(object_id, {0})",
 def _decoder_source(cls: str) -> str:
     """Source of ``decode(object_id, attrs, refs, parsed)`` for the typed wire
     class ``cls``: it checks unknown attrs, unknown refs, each attr and ref in
-    table order, then the nested attrs, and calls the node class once. Values
-    come from the JSON scanner, so exact type tests stand for isinstance."""
+    table order, then the nested attrs, and writes each field's slot of a new
+    node, as the node class's ``__init__`` would. Values come from the JSON
+    scanner, so exact type tests stand for isinstance."""
     node_fields = fields(DATACLASS_FOR[cls])
+    assert not hasattr(DATACLASS_FOR[cls], "__post_init__"), cls
     defaults = {f.name: repr(f.default) for f in node_fields}
     args = {"id": "object_id", "cls": repr(cls)}  # field -> its value's source
     lines = ["def decode(object_id, attrs, refs, parsed):"]
@@ -583,7 +589,10 @@ def _decoder_source(cls: str) -> str:
         if not spec.required:
             build += f" if {spec.name!r} in attrs else {defaults[spec.name]}"
         add(1, f"a_{spec.name} = {build}")
-    add(1, f"return NODE({', '.join(args.get(f.name, defaults[f.name]) for f in node_fields)})")
+    add(1, "node = object.__new__(NODE)")
+    for f in node_fields:
+        add(1, f"SET_{f.name}(node, {args.get(f.name, defaults[f.name])})")
+    add(1, "return node")
     return "\n".join(lines) + "\n"
 
 

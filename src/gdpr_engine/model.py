@@ -94,6 +94,12 @@ class TransferBasis:
     details: str = ""                              # Derogation
 
 
+# (name, default) of each basis field but the kind, in declaration order: a
+# tuple default means a list of strings, a bool a boolean, any other a string.
+BASIS_DEFAULTS = tuple((f.name, f.default) for f in fields(TransferBasis)
+                       if f.name != "kind")
+
+
 @dataclass(frozen=True)
 class Consultation:
     requestedAt: str
@@ -588,24 +594,16 @@ def _missing_target(node: Node, name: str, target: str) -> Violation:
                      f"reference {name!r} to missing object {target!r}")
 
 
-def _nested_stamp(nested: str, name: str):
-    """Getter of the timestamp ``name`` inside the optional nested attr
-    ``nested``."""
-    def stamp(node: Node) -> str | None:
-        value = getattr(node, nested)
-        return None if value is None else getattr(value, name)
-    return stamp
-
-
 # Per typed class, built once: a getter of each timestamp field, nested ones
-# included. InstanceGraph parses each distinct timestamp once.
+# included (None when the optional consultation is). InstanceGraph parses
+# each distinct timestamp once.
 _TIMESTAMP_GETTERS: dict[str, tuple] = {
     cls: tuple(attrgetter(spec.name) for spec in CLASS_ATTRS[cls] if spec.kind == "ts")
     for cls in DATACLASS_FOR
 }
 _TIMESTAMP_GETTERS["Data_Protection_Impact_Assessment"] += (
-    _nested_stamp("consultation", "requestedAt"),
-    _nested_stamp("consultation", "adviceAt"),
+    lambda node: node.consultation and node.consultation.requestedAt,
+    lambda node: node.consultation and node.consultation.adviceAt,
 )
 
 
@@ -666,75 +664,83 @@ def validate_graph(
                                   f"{name}: {literal!r} is not a literal of {enum}"))
 
         # Class invariants.
-        out.extend(_node_invariants(graph, node, profile))
+        invariants = _INVARIANTS.get(node.cls)
+        if invariants is not None:
+            invariants(graph, node, profile, add)
 
     out.sort(key=lambda v: (v.objectId, v.code, v.message))
     return out
 
 
-def _node_invariants(graph: InstanceGraph, node: Node, profile) -> list[Violation]:
-    bad: list[Violation] = []
-    add = bad.append
+# Class invariants: each check(graph, node, profile, add) passes its
+# violations to ``add``; _INVARIANTS maps a class to its check.
 
-    if isinstance(node, Country):
-        if node.isEUMemberState and not node.EULawApplies:
-            add(Violation(INVARIANT, node.id,
-                          "an EU member state is subject to EU law"))
-        if not (len(node.code) == 2 and node.code.isalpha() and node.code.isupper()):
-            add(Violation(INVARIANT, node.id,
-                          f"country code {node.code!r} is not a two-letter ISO code"))
-    elif isinstance(node, Actor):
-        if node.cls in ("Data_Controller", "Data_Processor") and not node.countries:
-            add(Violation(INVARIANT, node.id,
-                          f"{node.cls} must name at least one country"))
-    elif isinstance(node, DataSubject):
-        if node.cls == "Child_Data_Subject":
-            limit = DEFAULT_CHILD_AGE_LIMIT
-            if profile is not None:
-                limit = profile.minimum_age(graph, node, None)
-            if node.ageYears >= limit:
-                add(Violation(INVARIANT, node.id,
-                              f"child subject aged {node.ageYears} meets the "
-                              f"consent age limit of {limit}"))
-    elif isinstance(node, PersonalData):
-        if node.identifiesSubject and not node.subjects:
-            add(Violation(INVARIANT, node.id,
-                          "identifying data must reference its subjects"))
-    elif isinstance(node, Purpose):
-        if node.legalBasis == "LEGAL_OBLIGATION" and not node.obligationSource:
-            add(Violation(INVARIANT, node.id,
-                          "a legal-obligation basis requires the obligation source"))
-    elif isinstance(node, Consent):
-        if not node.givenFor:
-            add(Violation(INVARIANT, node.id,
-                          "consent must cover at least one purpose"))
-    elif isinstance(node, DataProcessing):
-        if not node.purposes:
-            add(Violation(INVARIANT, node.id,
-                          "processing must declare at least one purpose"))
-    elif isinstance(node, RightRequest):
-        responded = graph.minutes(node.respondedAt)
-        received = graph.minutes(node.receivedAt)
-        if responded is not None and received is not None and responded < received:
-            add(Violation(INVARIANT, node.id, "response precedes the request"))
-        if node.denialReason is not None and node.denialReason not in enums.DENIAL_REASONS:
-            add(Violation(BAD_LITERAL, node.id,
-                          f"denialReason: {node.denialReason!r} is not a known "
-                          "denial or restriction reason"))
-    elif isinstance(node, Breach):
-        detected = graph.minutes(node.detectedAt)
-        if detected is not None:
-            for label in ("saNotifiedAt", "subjectsCommunicatedAt", "controllersInformedAt"):
-                later = graph.minutes(getattr(node, label))
-                if later is not None and later < detected:
-                    add(Violation(INVARIANT, node.id, f"{label} precedes detection"))
-    elif isinstance(node, DataTransfer):
-        bad.extend(_basis_invariants(node))
-    elif isinstance(node, TurnoverContext):
-        if node.worldwideAnnualTurnoverEUR < 0:
-            add(Violation(INVARIANT, node.id, "turnover must be non-negative"))
+def _country_invariants(graph, node, profile, add) -> None:
+    if node.isEUMemberState and not node.EULawApplies:
+        add(Violation(INVARIANT, node.id, "an EU member state is subject to EU law"))
+    if not (len(node.code) == 2 and node.code.isalpha() and node.code.isupper()):
+        add(Violation(INVARIANT, node.id,
+                      f"country code {node.code!r} is not a two-letter ISO code"))
 
-    return bad
+
+def _actor_invariants(graph, node, profile, add) -> None:
+    if not node.countries:
+        add(Violation(INVARIANT, node.id, f"{node.cls} must name at least one country"))
+
+
+def _child_invariants(graph, node, profile, add) -> None:
+    limit = DEFAULT_CHILD_AGE_LIMIT
+    if profile is not None:
+        limit = profile.minimum_age(graph, node, None)
+    if node.ageYears >= limit:
+        add(Violation(INVARIANT, node.id, f"child subject aged {node.ageYears} meets "
+                                          f"the consent age limit of {limit}"))
+
+
+def _personal_data_invariants(graph, node, profile, add) -> None:
+    if node.identifiesSubject and not node.subjects:
+        add(Violation(INVARIANT, node.id, "identifying data must reference its subjects"))
+
+
+def _purpose_invariants(graph, node, profile, add) -> None:
+    if node.legalBasis == "LEGAL_OBLIGATION" and not node.obligationSource:
+        add(Violation(INVARIANT, node.id,
+                      "a legal-obligation basis requires the obligation source"))
+
+
+def _consent_invariants(graph, node, profile, add) -> None:
+    if not node.givenFor:
+        add(Violation(INVARIANT, node.id, "consent must cover at least one purpose"))
+
+
+def _processing_invariants(graph, node, profile, add) -> None:
+    if not node.purposes:
+        add(Violation(INVARIANT, node.id, "processing must declare at least one purpose"))
+
+
+def _request_invariants(graph, node, profile, add) -> None:
+    responded = graph.minutes(node.respondedAt)
+    received = graph.minutes(node.receivedAt)
+    if responded is not None and received is not None and responded < received:
+        add(Violation(INVARIANT, node.id, "response precedes the request"))
+    if node.denialReason is not None and node.denialReason not in enums.DENIAL_REASONS:
+        add(Violation(BAD_LITERAL, node.id,
+                      f"denialReason: {node.denialReason!r} is not a known "
+                      "denial or restriction reason"))
+
+
+def _breach_invariants(graph, node, profile, add) -> None:
+    detected = graph.minutes(node.detectedAt)
+    if detected is not None:
+        for label in ("saNotifiedAt", "subjectsCommunicatedAt", "controllersInformedAt"):
+            later = graph.minutes(getattr(node, label))
+            if later is not None and later < detected:
+                add(Violation(INVARIANT, node.id, f"{label} precedes detection"))
+
+
+def _turnover_invariants(graph, node, profile, add) -> None:
+    if node.worldwideAnnualTurnoverEUR < 0:
+        add(Violation(INVARIANT, node.id, "turnover must be non-negative"))
 
 
 # Basis fields that may be populated per basis kind.
@@ -749,32 +755,36 @@ BASIS_FIELDS: dict[str, frozenset[str]] = {
     "Derogation": frozenset({"derogation", "details"}),
 }
 
-def _basis_invariants(node: DataTransfer) -> list[Violation]:
+
+def _basis_invariants(graph, node, profile, add) -> None:
     basis = node.basis
-    bad: list[Violation] = []
     if basis.kind not in BASIS_FIELDS:
-        bad.append(Violation(BAD_LITERAL, node.id,
-                             f"basis kind {basis.kind!r} is not a transfer basis"))
-        return bad
+        add(Violation(BAD_LITERAL, node.id,
+                      f"basis kind {basis.kind!r} is not a transfer basis"))
+        return
     allowed = BASIS_FIELDS[basis.kind]
-    for f in fields(TransferBasis):
-        if f.name == "kind" or f.name in allowed:
-            continue
-        if getattr(basis, f.name) != f.default:
-            bad.append(Violation(INVARIANT, node.id,
-                                 f"basis field {f.name!r} does not belong to "
-                                 f"a {basis.kind} basis"))
+    for name, default in BASIS_DEFAULTS:
+        if name not in allowed and getattr(basis, name) != default:
+            add(Violation(INVARIANT, node.id, f"basis field {name!r} does not "
+                                              f"belong to a {basis.kind} basis"))
     if basis.kind == "Derogation":
         if basis.derogation is None:
-            bad.append(Violation(INVARIANT, node.id,
-                                 "a derogation basis must name its derogation"))
+            add(Violation(INVARIANT, node.id,
+                          "a derogation basis must name its derogation"))
         elif basis.derogation not in enums.ENUMERATIONS[enums.TRANSFER_DEROGATION_TYPES]:
-            bad.append(Violation(BAD_LITERAL, node.id,
-                                 f"derogation {basis.derogation!r} is not a "
-                                 "transfer derogation"))
+            add(Violation(BAD_LITERAL, node.id, f"derogation {basis.derogation!r} "
+                                                "is not a transfer derogation"))
     for literal in basis.information:
         if literal not in enums.ENUMERATIONS[enums.TRANSFER_CONTRACT_INFORMATION]:
-            bad.append(Violation(BAD_LITERAL, node.id,
-                                 f"basis information {literal!r} is not a "
-                                 "transfer contract information item"))
-    return bad
+            add(Violation(BAD_LITERAL, node.id, f"basis information {literal!r} is not "
+                                                "a transfer contract information item"))
+
+
+_INVARIANTS = {
+    "Country": _country_invariants, "Child_Data_Subject": _child_invariants,
+    "Data_Controller": _actor_invariants, "Data_Processor": _actor_invariants,
+    "Personal_Data": _personal_data_invariants, "Purpose": _purpose_invariants,
+    "Consent": _consent_invariants, "Data_Processing": _processing_invariants,
+    "Right_Request": _request_invariants, "Breach": _breach_invariants,
+    "Data_Transfer": _basis_invariants, "Turnover_Context": _turnover_invariants,
+}

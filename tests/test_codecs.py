@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+from fixtures import compliant_document, document_bytes
 from gdpr_engine import ingest, load_instance, serialize_instance
 from gdpr_engine.ingest import LoadError
 from gdpr_engine.model import CLASS_ATTRS, CLASS_REFS, DATACLASS_FOR, NESTED_ATTRS
+from gdpr_engine.registry import canonical_class_name
 
 TYPED = sorted(DATACLASS_FOR)
 STAMP = "2023-03-01T10:00:00Z"
@@ -173,6 +177,27 @@ def test_full_object_decodes(cls):
         assert error.code != "SCHEMA", str(error)
     else:
         assert serialize_instance(graph)
+
+
+def test_decoded_nodes_match_what_their_class_builds(fail_documents):
+    """The decoders write each node's slots directly; every typed node of
+    the fixture and its variants equals, hashes and pickles as the node its
+    class's constructor builds from the same fields, and stays frozen."""
+    documents = [compliant_document(), *fail_documents.values()]
+    seen = set()
+    for document in documents:
+        for node in load_instance(document_bytes(document)):
+            if node.cls not in DATACLASS_FOR:
+                continue
+            seen.add(node.cls)
+            built = type(node)(**{f.name: getattr(node, f.name) for f in fields(node)})
+            assert node == built and hash(node) == hash(built), node.id
+            assert pickle.loads(pickle.dumps(node)) == node, node.id
+            with pytest.raises(FrozenInstanceError):
+                node.id = "changed"
+    assert len(documents) == 36
+    assert seen == {canonical_class_name(raw["class"]) for document in documents
+                    for raw in document["objects"]} & set(DATACLASS_FOR)
 
 
 def wrong_value(spec):

@@ -336,7 +336,11 @@ def test_valid_documents_are_streamed_in_any_layout(monkeypatch, layout):
     def no_whole_document(text, from_str):
         raise AssertionError("the document was parsed whole")
 
+    def no_id_walk(nodes):
+        raise AssertionError("the ids of a streamed document were walked")
+
     monkeypatch.setattr(ingest, "_document_nodes", no_whole_document)
+    monkeypatch.setattr(ingest, "_with_unique_ids", no_id_walk)
     for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
         assert serialize_instance(load_instance(source)) == expected
 
@@ -427,11 +431,17 @@ def test_load_restores_the_callers_gc_state(gc_enabled):
     assert not gc.isenabled()
 
 
+def replicas(count: int) -> bytes:
+    """An instance document of ``count`` renamed copies of the compliant one."""
+    objects = compliant_document()["objects"]
+    return json.dumps({"schemaVersion": "1",
+                       "objects": [prefixed(o, f"r{i}.") for i in range(count)
+                                   for o in objects]}).encode("utf-8")
+
+
 def test_no_collection_runs_during_a_load(gc_enabled):
     objects = compliant_document()["objects"]
-    data = json.dumps({"schemaVersion": "1",
-                       "objects": [prefixed(o, f"r{i}.") for i in range(40)
-                                   for o in objects]}).encode("utf-8")
+    data = replicas(40)
     collections = 0
 
     def count(phase, info):
@@ -446,6 +456,62 @@ def test_no_collection_runs_during_a_load(gc_enabled):
         gc.callbacks.remove(count)
     assert len(graph) == 40 * len(objects)
     assert collections == 0
+
+
+def fresh_generations() -> None:
+    """Collect everything, then empty the permanent generation: Python
+    3.12's collector parks immortal objects there, and a load leaves a
+    non-empty permanent generation alone as a caller's frozen objects."""
+    gc.collect()
+    gc.unfreeze()
+
+
+def in_generation(generation: int, objects) -> list[bool]:
+    """Whether each of ``objects`` is in the collector's ``generation``."""
+    members = {id(o) for o in gc.get_objects(generation=generation)}
+    return [id(o) in members for o in objects]
+
+
+def test_a_loaded_graph_is_in_the_oldest_generation(gc_enabled):
+    data = replicas(40)
+    fresh_generations()
+    graph = load_instance(data)
+    nodes = list(graph)
+    assert len(nodes) == 40 * len(compliant_document()["objects"])
+    assert all(gc.is_tracked(node) for node in nodes)
+    assert not any(in_generation(0, nodes)) and not any(in_generation(1, nodes))
+
+
+def test_a_load_leaves_the_callers_frozen_objects_frozen(gc_enabled):
+    data = replicas(2)
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        graph = load_instance(data)
+        assert gc.get_freeze_count() == frozen
+        assert not any(in_generation(2, graph))  # the graph was not promoted
+    finally:
+        gc.unfreeze()
+    assert len(graph) == 2 * len(compliant_document()["objects"])
+
+
+@pytest.mark.parametrize("loads", [True, False], ids=["loaded", "LoadError"])
+def test_only_a_successful_load_promotes_young_objects(gc_enabled, loads):
+    """A container made just before the load reaches the oldest generation
+    with a loaded graph, and stays young when the load fails (here in
+    validation, its last step)."""
+    document = compliant_document()
+    if not loads:
+        find(document, "LU")["attrs"]["code"] = "lu"
+    data = document_bytes(document)
+    fresh_generations()
+    sentinel: list[object] = []
+    try:
+        load_instance(data)
+    except LoadError as error:
+        assert not loads and error.code == "INVARIANT"
+    assert in_generation(2, [sentinel]) == [loads]
 
 
 # ---------------------------------------------------------------------------

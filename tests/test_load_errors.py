@@ -519,6 +519,15 @@ def test_duplicate_id_before_a_bad_object_comes_first():
     assert str(error) == "DUPLICATE_ID (object 'US'): object id 'US' declared twice"
 
 
+def test_the_first_id_repeated_in_document_order_is_named():
+    """The stream leaves ids to the graph, which indexes them by id; the
+    error still names the id repeated first in the document, not the least."""
+    document = compliant_document()
+    repeats = [json.dumps(find(document, "US")), json.dumps(find(document, "LU"))]
+    error = _load_error('{"objects": ' + _objects(*repeats) + "}")
+    assert str(error) == "DUPLICATE_ID (object 'US'): object id 'US' declared twice"
+
+
 def test_bad_object_before_a_duplicate_id_comes_first():
     duplicate = json.dumps(find(compliant_document(), "US"))
     error = _load_error('{"objects": ' + _objects(BAD_OBJECT, duplicate) + "}")

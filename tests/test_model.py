@@ -194,6 +194,114 @@ def test_transfer_basis_allows_exactly_one_variant():
                for v in violations)
 
 
+def basis_transfer(**basis) -> DataTransfer:
+    return DataTransfer(id="x", cls="Data_Transfer", fromCountry="LU",
+                        toCountry="US", basis=TransferBasis(**basis))
+
+
+EARLY, LATE = "2023-05-09T00:00:00Z", "2023-05-10T00:00:00Z"
+LOWERED = [Resolution("V1", {"thresholds": {"LU": 14}})]
+
+# (case, node "x", resolutions of the profile or None, exact violations):
+# one row per INVARIANT or BAD_LITERAL branch of the class invariants, and
+# rows for classes and subclasses that have none.
+INVARIANT_TABLE = [
+    ("eu member outside eu law",
+     Country(id="x", cls="Country", code="DE", isEUMemberState=True), None,
+     [("INVARIANT", "an EU member state is subject to EU law")]),
+    ("country code", Country(id="x", cls="Country", code="lux"), None,
+     [("INVARIANT", "country code 'lux' is not a two-letter ISO code")]),
+    ("controller without country",
+     Actor(id="x", cls="Data_Controller", kind="ENTERPRISE"), None,
+     [("INVARIANT", "Data_Controller must name at least one country")]),
+    ("processor without country",
+     Actor(id="x", cls="Data_Processor", kind="ENTERPRISE"), None,
+     [("INVARIANT", "Data_Processor must name at least one country")]),
+    ("recipient without country",
+     Actor(id="x", cls="Recipient", kind="ENTERPRISE"), None, []),
+    ("child at the default limit",
+     DataSubject(id="x", cls="Child_Data_Subject", ageYears=16, residence="LU"),
+     None, [("INVARIANT", "child subject aged 16 meets the consent age limit of 16")]),
+    ("child below the default limit",
+     DataSubject(id="x", cls="Child_Data_Subject", ageYears=15, residence="LU"),
+     [], []),
+    ("child at a profile limit",
+     DataSubject(id="x", cls="Child_Data_Subject", ageYears=15, residence="LU"),
+     LOWERED, [("INVARIANT", "child subject aged 15 meets the consent age limit of 14")]),
+    ("adult subject past the limit",
+     DataSubject(id="x", cls="Data_Subject", ageYears=15, residence="LU"),
+     LOWERED, []),
+    ("identifying data without subjects",
+     PersonalData(id="x", cls="Personal_Data", identifiesSubject=True), None,
+     [("INVARIANT", "identifying data must reference its subjects")]),
+    ("legal obligation without source",
+     Purpose(id="x", cls="Purpose", legalBasis="LEGAL_OBLIGATION"), None,
+     [("INVARIANT", "a legal-obligation basis requires the obligation source")]),
+    ("consent without purpose", Consent(id="x", cls="Consent", givenBy="s"), None,
+     [("INVARIANT", "consent must cover at least one purpose")]),
+    ("processing without purpose",
+     DataProcessing(id="x", cls="Data_Processing", type="OTHER"), None,
+     [("INVARIANT", "processing must declare at least one purpose")]),
+    ("response before request",
+     model.RightRequest(id="x", cls="Right_Request", receivedAt=LATE,
+                        respondedAt=EARLY), None,
+     [("INVARIANT", "response precedes the request")]),
+    ("unknown denial reason",
+     model.RightRequest(id="x", cls="Right_Request", receivedAt=EARLY,
+                        respondedAt=LATE, denialReason="BORED"), None,
+     [("BAD_LITERAL", "denialReason: 'BORED' is not a known denial or "
+                      "restriction reason")]),
+    ("breach steps before detection",
+     Breach(id="x", cls="Breach", processing="p", detectedBy="a", detectedAt=LATE,
+            saNotifiedAt=EARLY, subjectsCommunicatedAt=EARLY,
+            controllersInformedAt=EARLY), None,
+     [("INVARIANT", "controllersInformedAt precedes detection"),
+      ("INVARIANT", "saNotifiedAt precedes detection"),
+      ("INVARIANT", "subjectsCommunicatedAt precedes detection")]),
+    ("basis kind", basis_transfer(kind="Bogus"), None,
+     [("BAD_LITERAL", "basis kind 'Bogus' is not a transfer basis")]),
+    ("basis field of another kind",
+     basis_transfer(kind="IntraEU", approved=True, details="why"), None,
+     [("INVARIANT", "basis field 'approved' does not belong to a IntraEU basis"),
+      ("INVARIANT", "basis field 'details' does not belong to a IntraEU basis")]),
+    ("derogation not named", basis_transfer(kind="Derogation"), None,
+     [("INVARIANT", "a derogation basis must name its derogation")]),
+    ("unknown derogation", basis_transfer(kind="Derogation", derogation="WHIM"),
+     None, [("BAD_LITERAL", "derogation 'WHIM' is not a transfer derogation")]),
+    ("unknown contract information",
+     basis_transfer(kind="BCR", information=("NOPE",)), None,
+     [("BAD_LITERAL", "basis information 'NOPE' is not a transfer contract "
+                      "information item")]),
+    ("negative turnover",
+     model.TurnoverContext(id="x", cls="Turnover_Context",
+                           worldwideAnnualTurnoverEUR=-1), None,
+     [("INVARIANT", "turnover must be non-negative")]),
+    ("right support", model.RightSupport(id="x", cls="Right_Support",
+                                         right="RIGHT_TO_ACCESS"), None, []),
+    ("security measure", SecurityMeasure(id="x", cls="Technical",
+                                         kind="ACCESS_CONTROL"), None, []),
+]
+
+
+@pytest.mark.parametrize("case, node, resolutions, expected", INVARIANT_TABLE,
+                         ids=[row[0] for row in INVARIANT_TABLE])
+def test_each_class_invariant_gives_its_exact_violations(case, node, resolutions,
+                                                         expected):
+    """The node "x" among valid neighbours gives exactly ``expected``."""
+    neighbours = [
+        LU, US,
+        Actor(id="a", cls="Data_Controller", kind="ENTERPRISE", countries=("LU",)),
+        Purpose(id="purp", cls="Purpose", legalBasis="BY_CONSENT"),
+        DataProcessing(id="p", cls="Data_Processing", purposes=("purp",), type="OTHER"),
+        DataSubject(id="s", cls="Data_Subject", ageYears=30, residence="LU"),
+    ]
+    profile = None if resolutions is None else build_profile(resolutions)
+    assert validate_graph(graph_of(*neighbours), profile) == []
+    got = validate_graph(graph_of(*neighbours, node), profile)
+    assert [(v.code, v.objectId, v.message) for v in got] == \
+        [(code, "x", message) for code, message in expected]
+
+
 def test_of_class_expands_model_subclasses():
     child = DataSubject(id="kid", cls="Child_Data_Subject", ageYears=9,
                         residence="LU")
