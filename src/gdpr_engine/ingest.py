@@ -716,9 +716,13 @@ def graph_fingerprint(graph: InstanceGraph) -> str:
 # Profile documents
 # ---------------------------------------------------------------------------
 
+_RESOLUTION_KEYS = frozenset({"variation", "params"})
+
+
 def load_profile(data: bytes | str) -> list[Resolution]:
-    """Parse a specialization-profile document into schema-checked
-    resolutions, in declaration order."""
+    """Parse a specialization-profile document into resolutions whose params
+    are checked against their variation point's table and frozen, in
+    declaration order; applying them checks nothing again."""
     document = _parse_json(_decode(data))
     _check_top_level(document, {"schemaVersion", "resolutions"}, "resolutions")
     raw_list = document.get("resolutions")
@@ -729,8 +733,8 @@ def load_profile(data: bytes | str) -> list[Resolution]:
     for position, raw in enumerate(raw_list):
         if not isinstance(raw, dict):
             _fail(SCHEMA, f"resolutions[{position}] is not an object")
-        unknown = sorted(set(raw) - {"variation", "params"})
-        if unknown:
+        if not raw.keys() <= _RESOLUTION_KEYS:
+            unknown = sorted(raw.keys() - _RESOLUTION_KEYS)
             _fail(SCHEMA, f"resolutions[{position}]: unknown keys "
                           f"{', '.join(unknown)}")
         variation = raw.get("variation")
@@ -743,10 +747,9 @@ def load_profile(data: bytes | str) -> list[Resolution]:
         if not isinstance(params, dict):
             _fail(SCHEMA, f"resolutions[{position}]: params must be an object")
         try:
-            normalized = vp.schema(params)
+            out.append(vp.resolve(params))
         except VariabilityError as exc:
             raise LoadError(SCHEMA, str(exc)) from exc
-        out.append(Resolution(variation, normalized))
     return out
 
 

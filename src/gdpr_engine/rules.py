@@ -218,6 +218,14 @@ class EvalContext:
         self.strict = strict
         self.defaulted_hooks: set[str] = set()
         self._scope: list[DataProcessing] | None = None
+        # The profile reads that per-processing checks repeat, read once.
+        self._adaptations = {} if profile is None else profile.adaptations
+        research = self.resolution_params("V17") or {}
+        self._research_derogations = frozenset(research.get("derogatedRights", ()))
+        self._research_types = research.get("processingTypes",
+                                            ("RESEARCH", "STATISTICAL_PURPOSES"))
+        archiving = self.resolution_params("V18") or {}
+        self._archiving_derogations = frozenset(archiving.get("derogatedRights", ()))
 
     # -- hooks --------------------------------------------------------------
 
@@ -324,9 +332,7 @@ class EvalContext:
     # -- profile-driven scoping ------------------------------------------------
 
     def adaptation(self, rule_id: str):
-        if self.profile is None:
-            return None
-        return self.profile.adaptations.get(rule_id)
+        return self._adaptations.get(rule_id)
 
     def adapted_out(self, rule_id: str, p: DataProcessing) -> bool:
         desc = self.adaptation(rule_id)
@@ -338,16 +344,8 @@ class EvalContext:
 
     def right_derogated(self, p: DataProcessing, right: str) -> bool:
         """Art. 89/90 national derogations lifted via V17/V18 resolutions."""
-        params = self.resolution_params("V17")
-        if params and right in params.get("derogatedRights", ()):
-            if p.type in params.get("processingTypes",
-                                    ("RESEARCH", "STATISTICAL_PURPOSES")):
-                return True
-        params = self.resolution_params("V18")
-        if params and right in params.get("derogatedRights", ()):
-            if "ARCHIVING" in p.operations:
-                return True
-        return False
+        return (right in self._research_derogations and p.type in self._research_types
+                or right in self._archiving_derogations and "ARCHIVING" in p.operations)
 
     def rights_applicable(self, p: DataProcessing) -> set[str]:
         rights = set(ALWAYS_APPLICABLE_RIGHTS)

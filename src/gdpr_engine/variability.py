@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from . import enums
 from .model import Country, DataSubject, InstanceGraph
@@ -80,6 +81,8 @@ class Resolution:
     variationId: str
     parameters: Mapping[str, object] = field(default_factory=dict)
 
+    _checked = False  # made by VariationPoint.resolve: params checked and frozen
+
 
 @dataclass(frozen=True)
 class Adaptation:
@@ -102,256 +105,139 @@ class AuditEntry:
 
 
 # ---------------------------------------------------------------------------
-# Parameter schemas
+# Parameter tables
 # ---------------------------------------------------------------------------
 
-def _require_mapping(variation_id: str, params: object) -> dict:
-    if params is None:
-        return {}
-    if not isinstance(params, Mapping):
-        raise ResolutionParameterError(
-            f"{variation_id}: parameters must be an object")
-    return dict(params)
+_ABSENT = object()  # default of a parameter that is left out when not given
 
 
-def _reject_unknown(variation_id: str, params: Mapping, allowed: set[str]) -> None:
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise ResolutionParameterError(
-            f"{variation_id}: unknown parameters {', '.join(unknown)}")
+class Param(NamedTuple):
+    """One parameter of a variation point's table.
+
+    ``kind(vid, key, param, value)`` checks a value and returns it frozen
+    (tuples and read-only mappings). An absent key takes ``default``, checked
+    like a given value, or stays absent when it is ``_ABSENT``. ``allowed``
+    is a set of literals, or the name of an enumeration: its literals and
+    those variation points add to it. A message replaces the kind's own.
+    """
+
+    kind: Callable[[str, str, "Param", object], object]
+    default: object = _ABSENT
+    allowed: frozenset[str] | str | None = None
+    nonempty: bool = False
+    table: Mapping[str, "Param"] | None = None  # the fields of each sub-table
+    message: str = ""       # the value has the wrong shape
+    key_message: str = ""   # a key of a map of sub-tables is not allowed
+    item_message: str = ""  # an entry of a list or map is not an object
 
 
-def _str_list(variation_id: str, params: Mapping, key: str,
-              allowed: frozenset[str] | None = None,
-              nonempty: bool = False) -> tuple[str, ...]:
-    raw = params.get(key, ())
-    if isinstance(raw, str) or not isinstance(raw, Sequence):
-        raise ResolutionParameterError(f"{variation_id}: {key} must be a list")
-    values = tuple(raw)
-    if nonempty and not values:
-        raise ResolutionParameterError(f"{variation_id}: {key} must be nonempty")
-    for value in values:
-        if not isinstance(value, str):
-            raise ResolutionParameterError(
-                f"{variation_id}: {key} entries must be strings")
-        if allowed is not None and value not in allowed:
-            raise ResolutionParameterError(
-                f"{variation_id}: {key} entry {value!r} is not allowed")
-    return values
+def _error(vid: str, text: str) -> ResolutionParameterError:
+    return ResolutionParameterError(f"{vid}: {text}")
 
 
-def _bool(variation_id: str, params: Mapping, key: str, default: bool) -> bool:
-    value = params.get(key, default)
-    if not isinstance(value, bool):
-        raise ResolutionParameterError(f"{variation_id}: {key} must be a boolean")
+# JSON data holds dicts and lists; other Mappings and Sequences come from
+# Python callers.
+def _is_mapping(value: object) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
+
+
+def _is_list(value: object) -> bool:
+    return type(value) is list or (
+        not isinstance(value, str) and isinstance(value, Sequence))
+
+
+def _literals(param: Param) -> frozenset[str] | None:
+    allowed = param.allowed
+    return _ENUM_LITERALS[allowed] if type(allowed) is str else allowed
+
+
+def _check_table(vid: str, table: Mapping[str, Param], params: object,
+                 message: str) -> Mapping[str, object]:
+    """``params`` checked against ``table``, as a read-only mapping."""
+    if not _is_mapping(params):
+        raise _error(vid, message)
+    if not params.keys() <= table.keys():
+        unknown = sorted(params.keys() - table.keys())
+        raise _error(vid, f"unknown parameters {', '.join(unknown)}")
+    out = {}
+    for key, param in table.items():
+        value = params.get(key, param.default)
+        if value is not _ABSENT:
+            out[key] = param.kind(vid, key, param, value)
+    return MappingProxyType(out)
+
+
+def _flag(vid: str, key: str, param: Param, value: object) -> bool:
+    if type(value) is not bool:
+        raise _error(vid, f"{key} must be a boolean")
     return value
 
 
-def _schema_v1(params: Mapping) -> dict:
-    _reject_unknown("V1", params, {"thresholds", "default"})
-    thresholds = params.get("thresholds", {})
-    if not isinstance(thresholds, Mapping):
-        raise ResolutionParameterError("V1: thresholds must map country codes to ages")
-    clean: dict[str, int] = {}
-    for code, age in thresholds.items():
+def _names(vid: str, key: str, param: Param, value: object) -> tuple[str, ...]:
+    if not _is_list(value):
+        raise _error(vid, f"{key} must be a list")
+    values = tuple(value)
+    if param.nonempty and not values:
+        raise _error(vid, f"{key} must be nonempty")
+    allowed = _literals(param)
+    for entry in values:
+        if not isinstance(entry, str):
+            raise _error(vid, f"{key} entries must be strings")
+        if allowed is not None and entry not in allowed:
+            raise _error(vid, f"{key} entry {entry!r} is not allowed")
+    return values
+
+
+def _choice(vid: str, key: str, param: Param, value: object) -> str:
+    if not (isinstance(value, str) and value in _literals(param)):
+        raise _error(vid, param.message.format(value=value))
+    return value
+
+
+def _integer(vid: str, key: str, param: Param, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _error(vid, f"{key} must be an integer")
+    return value
+
+
+def _count(vid: str, key: str, param: Param, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise _error(vid, f"{key} must be a non-negative integer")
+    return value
+
+
+def _ages(vid: str, key: str, param: Param, value: object) -> Mapping[str, int]:
+    """A map from two-letter country code, upper-cased, to an integer age."""
+    if not _is_mapping(value):
+        raise _error(vid, param.message)
+    out = {}
+    for code, age in value.items():
         if not (isinstance(code, str) and len(code) == 2 and code.isalpha()):
-            raise ResolutionParameterError(
-                f"V1: {code!r} is not a two-letter country code")
+            raise _error(vid, f"{code!r} is not a two-letter country code")
         if not isinstance(age, int) or isinstance(age, bool):
-            raise ResolutionParameterError(f"V1: age for {code} must be an integer")
-        clean[code.upper()] = age
-    out: dict[str, object] = {"thresholds": clean}
-    if "default" in params:
-        default = params["default"]
-        if not isinstance(default, int) or isinstance(default, bool):
-            raise ResolutionParameterError("V1: default must be an integer")
-        out["default"] = default
-    return out
+            raise _error(vid, f"age for {code} must be an integer")
+        out[code.upper()] = age
+    return MappingProxyType(out)
 
 
-def _schema_v2(params: Mapping) -> dict:
-    _reject_unknown("V2", params, {"acceptedDocumentKinds"})
-    kinds = _str_list("V2", params, "acceptedDocumentKinds", nonempty=True)
-    return {"acceptedDocumentKinds": kinds}
+def _tables(vid: str, key: str, param: Param, value: object) -> tuple[Mapping, ...]:
+    """A nonempty list of sub-tables."""
+    if not _is_list(value) or not value:
+        raise _error(vid, f"{key} must be a nonempty list")
+    return tuple(_check_table(vid, param.table, entry, param.item_message)
+                 for entry in value)
 
 
-def _schema_v3(params: Mapping) -> dict:
-    _reject_unknown("V3", params, {"canBeLifted"})
-    return {"canBeLifted": _bool("V3", params, "canBeLifted", True)}
-
-
-_V4_CATEGORIES = frozenset({"GENETIC", "BIOMETRIC", "HEALTH"})
-
-
-def _schema_v4(params: Mapping) -> dict:
-    _reject_unknown("V4", params,
-                    {"restrictedCategories", "requiredTechnicalMeasures", "prohibited"})
-    out: dict[str, object] = {
-        "prohibited": _bool("V4", params, "prohibited", False),
-        "requiredTechnicalMeasures": _str_list(
-            "V4", params, "requiredTechnicalMeasures",
-            enums.ENUMERATIONS[enums.TECHNICAL_MEASURE_TYPE]),
-    }
-    if "restrictedCategories" in params:
-        out["restrictedCategories"] = _str_list(
-            "V4", params, "restrictedCategories", _V4_CATEGORIES, nonempty=True)
-    return out
-
-
-def _schema_v5(params: Mapping) -> dict:
-    _reject_unknown("V5", params, {"adaptations"})
-    raw = params.get("adaptations")
-    if not isinstance(raw, Mapping) or not raw:
-        raise ResolutionParameterError(
-            "V5: adaptations must map rule ids to restriction descriptors")
-    clean: dict[str, dict] = {}
-    for rule_id, descriptor in raw.items():
-        if rule_id not in V5_ADAPTABLE_RULES:
-            raise ResolutionParameterError(
-                f"V5: rule {rule_id} cannot be adapted (only C2 and C9-C22)")
-        if not isinstance(descriptor, Mapping):
-            raise ResolutionParameterError(f"V5: descriptor for {rule_id} must be an object")
-        _reject_unknown("V5", descriptor, {"removedRights", "exemptProcessingTypes"})
-        clean[rule_id] = {
-            "removedRights": _str_list(
-                "V5", descriptor, "removedRights",
-                enums.ENUMERATIONS[enums.RIGHT_KIND]),
-            "exemptProcessingTypes": _str_list(
-                "V5", descriptor, "exemptProcessingTypes",
-                enums.ENUMERATIONS[enums.PROCESSING_CONTEXT]),
-        }
-    return {"adaptations": clean}
-
-
-def _schema_instructions(variation_id: str) -> Callable[[Mapping], dict]:
-    def schema(params: Mapping) -> dict:
-        _reject_unknown(variation_id, params, {"allowedWithoutInstructions"})
-        return {"allowedWithoutInstructions": _bool(
-            variation_id, params, "allowedWithoutInstructions", False)}
-    return schema
-
-
-def _schema_v8(params: Mapping) -> dict:
-    _reject_unknown("V8", params, {"requiredForProcessingTypes"})
-    out: dict[str, object] = {}
-    if "requiredForProcessingTypes" in params:
-        out["requiredForProcessingTypes"] = _str_list(
-            "V8", params, "requiredForProcessingTypes",
-            enums.ENUMERATIONS[enums.PROCESSING_CONTEXT], nonempty=True)
-    return out
-
-
-def _schema_v9(params: Mapping) -> dict:
-    _reject_unknown("V9", params, {"actorKinds"})
-    allowed = enums.ENUMERATIONS[enums.ACTOR_TYPE] | {"CHURCH_OR_RELIGIOUS_ORGANIZATION"}
-    return {"actorKinds": _str_list("V9", params, "actorKinds", allowed,
-                                    nonempty=True)}
-
-
-def _schema_v10(params: Mapping) -> dict:
-    _reject_unknown("V10", params, {"limits"})
-    raw = params.get("limits")
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-        raise ResolutionParameterError("V10: limits must be a nonempty list")
-    allowed_categories = enums.ENUMERATIONS[enums.DATA_CATEGORY] | {"IDENTIFICATION"}
-    clean = []
-    for limit in raw:
-        if not isinstance(limit, Mapping):
-            raise ResolutionParameterError("V10: each limit must be an object")
-        _reject_unknown("V10", limit, {"categories", "toCountries"})
-        clean.append({
-            "categories": _str_list("V10", limit, "categories", allowed_categories),
-            "toCountries": _str_list("V10", limit, "toCountries"),
-        })
-    return {"limits": tuple(clean)}
-
-
-def _schema_empty(variation_id: str) -> Callable[[Mapping], dict]:
-    def schema(params: Mapping) -> dict:
-        _reject_unknown(variation_id, params, set())
-        return {}
-    return schema
-
-
-def _schema_v12(params: Mapping) -> dict:
-    _reject_unknown("V12", params, {"finesApplyToPublicBodies", "publicBodyFineCapEUR"})
-    out: dict[str, object] = {
-        "finesApplyToPublicBodies": _bool(
-            "V12", params, "finesApplyToPublicBodies", True),
-    }
-    if "publicBodyFineCapEUR" in params:
-        cap = params["publicBodyFineCapEUR"]
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise ResolutionParameterError(
-                "V12: publicBodyFineCapEUR must be a non-negative integer")
-        out["publicBodyFineCapEUR"] = cap
-    return out
-
-
-def _schema_v13(params: Mapping) -> dict:
-    _reject_unknown("V13", params, {"penalties"})
-    raw = params.get("penalties")
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-        raise ResolutionParameterError("V13: penalties must be a nonempty list")
-    clean = []
-    for entry in raw:
-        if not isinstance(entry, Mapping):
-            raise ResolutionParameterError("V13: each penalty must be an object")
-        _reject_unknown("V13", entry, {"infringementKind", "penaltyEUR"})
-        kind = entry.get("infringementKind")
-        if kind not in enums.ENUMERATIONS[enums.INFRINGEMENT_TYPE]:
-            raise ResolutionParameterError(
-                f"V13: {kind!r} is not an infringement kind")
-        amount = entry.get("penaltyEUR")
-        if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
-            raise ResolutionParameterError(
-                "V13: penaltyEUR must be a non-negative integer")
-        clean.append({"infringementKind": kind, "penaltyEUR": amount})
-    return {"penalties": tuple(clean)}
-
-
-def _schema_v14(params: Mapping) -> dict:
-    _reject_unknown("V14", params, {"processingTypes"})
-    out: dict[str, object] = {}
-    if "processingTypes" in params:
-        out["processingTypes"] = _str_list(
-            "V14", params, "processingTypes",
-            enums.ENUMERATIONS[enums.PROCESSING_CONTEXT], nonempty=True)
-    return out
-
-
-def _schema_v15(params: Mapping) -> dict:
-    _reject_unknown("V15", params, {"allowed", "requiredTechnicalMeasures"})
-    return {
-        "allowed": _bool("V15", params, "allowed", True),
-        "requiredTechnicalMeasures": _str_list(
-            "V15", params, "requiredTechnicalMeasures",
-            enums.ENUMERATIONS[enums.TECHNICAL_MEASURE_TYPE]),
-    }
-
-
-def _schema_derogations(variation_id: str, rights: frozenset[str],
-                        with_types: bool) -> Callable[[Mapping], dict]:
-    def schema(params: Mapping) -> dict:
-        allowed_keys = {"derogatedRights"}
-        if with_types:
-            allowed_keys.add("processingTypes")
-        _reject_unknown(variation_id, params, allowed_keys)
-        out: dict[str, object] = {
-            "derogatedRights": _str_list(
-                variation_id, params, "derogatedRights", rights, nonempty=True),
-        }
-        if with_types and "processingTypes" in params:
-            out["processingTypes"] = _str_list(
-                variation_id, params, "processingTypes",
-                enums.ENUMERATIONS[enums.PROCESSING_CONTEXT], nonempty=True)
-        return out
-    return schema
-
-
-def _schema_v19(params: Mapping) -> dict:
-    _reject_unknown("V19", params, {"protectedCategories"})
-    return {"protectedCategories": _str_list("V19", params, "protectedCategories")}
+def _table_map(vid: str, key: str, param: Param, value: object) -> Mapping:
+    """A nonempty map from allowed keys to sub-tables."""
+    if not _is_mapping(value) or not value:
+        raise _error(vid, param.message)
+    out = {}
+    for name, entry in value.items():
+        if name not in param.allowed:
+            raise _error(vid, param.key_message.format(name))
+        out[name] = _check_table(vid, param.table, entry, param.item_message.format(name))
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +250,7 @@ class VariationPoint:
     sourceArticle: int
     summary: str
     kinds: frozenset[str]
-    schema: Callable[[Mapping], dict]
+    params: Mapping[str, Param]
     hooks: tuple[str, ...] = ()           # overridable default hooks
     hookTargets: tuple[str, ...] = ()     # rules consuming those hooks
     addsRules: tuple[str, ...] = ()
@@ -372,100 +258,169 @@ class VariationPoint:
     replacesRules: tuple[str, ...] = ()
     enumExtensions: tuple[tuple[str, str], ...] = ()
     parameterHooks: tuple[str, ...] = ()  # hooks realized by rule parameters
+    # What applying any resolution of this point records; V5's adaptation
+    # entries, which depend on its params, come before these.
+    audit: tuple[AuditEntry, ...] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        targets = ", ".join(self.hookTargets) or "added rules"
+        model = [f"added literal {literal} to {enum_name}"
+                 for enum_name, literal in self.enumExtensions]
+        model += [f"updated version of constraint {target}"
+                  for _hook in self.hooks for target in self.hookTargets]
+        model += [f"new constraint {rule_id}" for rule_id in self.addsRules]
+        constraints = [f"implemented {hook} (used by {targets}) from the "
+                       "resolution parameters" for hook in self.hooks]
+        constraints += [f"removed constraint {rule_id}" for rule_id in self.replacesRules]
+        constraints += [f"added constraint {rule_id}" for rule_id in self.addsRules]
+        constraints += [f"implemented {hook} from the resolution parameters"
+                        for hook in self.parameterHooks]
+        object.__setattr__(self, "audit", (
+            *(AuditEntry(self.id, "model", action) for action in model),
+            *(AuditEntry(self.id, "constraints", action) for action in constraints),
+            AuditEntry(self.id, "glossary",
+                       f"added terminology introduced by {self.id} ({self.summary})")))
+
+    def resolve(self, params: object) -> Resolution:
+        """A resolution of this point whose params are checked against its
+        table and frozen; ``None`` stands for no params."""
+        resolution = Resolution(self.id, _check_table(
+            self.id, self.params, {} if params is None else params,
+            "parameters must be an object"))
+        object.__setattr__(resolution, "_checked", True)
+        return resolution
+
+
+_INSTRUCTIONS = {"allowedWithoutInstructions": Param(_flag, False)}
+_PROCESSING_TYPES = Param(_names, allowed=enums.PROCESSING_CONTEXT, nonempty=True)
 
 VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
     VariationPoint(
         "V1", 8, "national minimum consent age between 13 and 16",
-        frozenset({HOOK, ADD}), _schema_v1,
-        hooks=("V_getMinimumAgeForDS",), hookTargets=("C5",),
-        addsRules=("V1",)),
+        frozenset({HOOK, ADD}), {
+            "thresholds": Param(
+                _ages, {}, message="thresholds must map country codes to ages"),
+            "default": Param(_integer)},
+        hooks=("V_getMinimumAgeForDS",), hookTargets=("C5",), addsRules=("V1",)),
     VariationPoint(
         "V2", 8, "documents accepted as proof of parental responsibility",
-        frozenset({HOOK, ADD}), _schema_v2,
-        hooks=("V_checkParentDocuments",), hookTargets=("C5",),
-        addsRules=("V2",)),
+        frozenset({HOOK, ADD}),
+        {"acceptedDocumentKinds": Param(_names, (), nonempty=True)},
+        hooks=("V_checkParentDocuments",), hookTargets=("C5",), addsRules=("V2",)),
     VariationPoint(
         "V3", 9, "whether consent can lift the special-category prohibition",
-        frozenset({HOOK}), _schema_v3,
+        frozenset({HOOK}), {"canBeLifted": Param(_flag, True)},
         hooks=("V_prohibitionCanBeLiftedByConsent",), hookTargets=("C6",)),
     VariationPoint(
         "V4", 9, "further national conditions on genetic, biometric, and "
                  "health data",
-        frozenset({ADD}), _schema_v4,
+        frozenset({ADD}), {
+            "prohibited": Param(_flag, False),
+            "requiredTechnicalMeasures": Param(_names, (), enums.TECHNICAL_MEASURE_TYPE),
+            "restrictedCategories": Param(
+                _names, allowed=frozenset({"GENETIC", "BIOMETRIC", "HEALTH"}),
+                nonempty=True)},
         addsRules=("V4",), parameterHooks=("V_verifyFurtherConditionsAndLimit",)),
     VariationPoint(
         "V5", 23, "legislative restriction of the principle and right rules",
-        frozenset({ADAPT}), _schema_v5,
+        frozenset({ADAPT}), {"adaptations": Param(
+            _table_map, None, frozenset(V5_ADAPTABLE_RULES), table={
+                "removedRights": Param(_names, (), enums.RIGHT_KIND),
+                "exemptProcessingTypes": Param(_names, (), enums.PROCESSING_CONTEXT)},
+            message="adaptations must map rule ids to restriction descriptors",
+            key_message="rule {} cannot be adapted (only C2 and C9-C22)",
+            item_message="descriptor for {} must be an object")},
         adaptsRules=V5_ADAPTABLE_RULES),
     VariationPoint(
         "V6", 29, "processing without controller instructions where national "
                   "law requires it",
-        frozenset({HOOK}), _schema_instructions("V6"),
+        frozenset({HOOK}), _INSTRUCTIONS,
         hooks=("V_processWithoutControllerInstructions",), hookTargets=("C22",)),
     VariationPoint(
         "V7", 32, "persons under authority bound to controller instructions",
-        frozenset({HOOK, ADD}), _schema_instructions("V7"),
-        hooks=("V_processWithoutControllerInstructions",),
-        addsRules=("V7",)),
+        frozenset({HOOK, ADD}), _INSTRUCTIONS,
+        hooks=("V_processWithoutControllerInstructions",), addsRules=("V7",)),
     VariationPoint(
         "V8", 36, "reconciliation of data protection with freedom of expression",
-        frozenset({ADD, ENUM}), _schema_v8,
-        addsRules=("V8",),
-        enumExtensions=((enums.DPIA_INFORMATION_TYPE, "RECONCILIATION_ASSESSMENT"),),
-        parameterHooks=("V_ReconcileByLaw",)),
+        frozenset({ADD, ENUM}), {"requiredForProcessingTypes": _PROCESSING_TYPES},
+        addsRules=("V8",), parameterHooks=("V_ReconcileByLaw",),
+        enumExtensions=((enums.DPIA_INFORMATION_TYPE, "RECONCILIATION_ASSESSMENT"),)),
     VariationPoint(
         "V9", 37, "bodies that must designate a data protection officer",
-        frozenset({HOOK}), _schema_v9,
+        frozenset({HOOK}),
+        {"actorKinds": Param(_names, (), enums.ACTOR_TYPE, nonempty=True)},
         hooks=("V_bodiesMustDesignateDPO",), hookTargets=("C29",)),
     VariationPoint(
         "V10", 49, "national limits on transfers of specific data categories",
-        frozenset({ADD}), _schema_v10,
+        frozenset({ADD}), {"limits": Param(_tables, None, table={
+            "categories": Param(_names, (), enums.DATA_CATEGORY),
+            "toCountries": Param(_names, ())},
+            item_message="each limit must be an object")},
         addsRules=("V10",), parameterHooks=("V_verifyTransferLimits",)),
     VariationPoint(
         "V11", 80, "representative bodies may lodge complaints",
-        frozenset({ADD}), _schema_empty("V11"),
-        addsRules=("V11",)),
+        frozenset({ADD}), {}, addsRules=("V11",)),
     VariationPoint(
         "V12", 83, "national fine regime for public authorities and bodies",
-        frozenset({REPLACE}), _schema_v12,
+        frozenset({REPLACE}), {
+            "finesApplyToPublicBodies": Param(_flag, True),
+            "publicBodyFineCapEUR": Param(_count)},
         replacesRules=("C35",), addsRules=("V12_1", "V12_2")),
     VariationPoint(
         "V13", 84, "additional national penalties for infringements",
-        frozenset({ADD}), _schema_v13,
+        frozenset({ADD}), {"penalties": Param(_tables, None, table={
+            "infringementKind": Param(_choice, None, enums.INFRINGEMENT_TYPE,
+                                      message="{value!r} is not an infringement kind"),
+            "penaltyEUR": Param(_count, None)},
+            item_message="each penalty must be an object")},
         addsRules=("V13",)),
     VariationPoint(
         "V14", 85, "prior authorization for public-interest processing",
-        frozenset({ADD}), _schema_v14,
-        addsRules=("V14",)),
+        frozenset({ADD}), {"processingTypes": _PROCESSING_TYPES}, addsRules=("V14",)),
     VariationPoint(
         "V15", 87, "conditions for processing national identification numbers",
-        frozenset({ADD, ENUM}), _schema_v15,
-        addsRules=("V15",),
-        enumExtensions=((enums.DATA_CATEGORY, "IDENTIFICATION"),),
-        parameterHooks=("V_checkedIDProcessing",)),
+        frozenset({ADD, ENUM}), {
+            "allowed": Param(_flag, True),
+            "requiredTechnicalMeasures": Param(_names, (), enums.TECHNICAL_MEASURE_TYPE)},
+        addsRules=("V15",), parameterHooks=("V_checkedIDProcessing",),
+        enumExtensions=((enums.DATA_CATEGORY, "IDENTIFICATION"),)),
     VariationPoint(
         "V16", 88, "employment-context assessment recorded in impact assessments",
-        frozenset({ENUM}), _schema_empty("V16"),
+        frozenset({ENUM}), {},
         enumExtensions=((enums.DPIA_INFORMATION_TYPE, "EMPLOYMENT_ASSESSMENT"),)),
     VariationPoint(
         "V17", 89, "right derogations for research and statistics",
-        frozenset({ADD}), _schema_derogations("V17", V17_RIGHTS, True),
+        frozenset({ADD}), {
+            "derogatedRights": Param(_names, (), V17_RIGHTS, nonempty=True),
+            "processingTypes": _PROCESSING_TYPES},
         addsRules=("V17",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V18", 89, "right derogations for public-interest archiving",
-        frozenset({ADD}), _schema_derogations("V18", V18_RIGHTS, False),
+        frozenset({ADD}),
+        {"derogatedRights": Param(_names, (), V18_RIGHTS, nonempty=True)},
         addsRules=("V18",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V19", 90, "supervisory powers over secrecy-bound controllers",
-        frozenset({ADD}), _schema_v19,
+        frozenset({ADD}), {"protectedCategories": Param(_names, ())},
         addsRules=("V19",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V20", 91, "church and religious data-protection regimes",
-        frozenset({ADD, ENUM}), _schema_empty("V20"),
-        addsRules=("V20",),
+        frozenset({ADD, ENUM}), {}, addsRules=("V20",),
         enumExtensions=((enums.ACTOR_TYPE, "CHURCH_OR_RELIGIOUS_ORGANIZATION"),)),
 )}
+
+# The literals a parameter naming an enumeration allows: the enumeration's
+# own and every literal a variation point adds to it.
+_ENUM_LITERALS: dict[str, frozenset[str]] = dict(enums.ENUMERATIONS)
+for _vp in VARIATION_POINTS.values():
+    for _enum_name, _literal in _vp.enumExtensions:
+        _ENUM_LITERALS[_enum_name] |= {_literal}
+del _vp, _enum_name, _literal
+
+# Catalog order of every rule a profile can hold, as a rank looked up per sort.
+_RULE_RANK = {rule_id: rank for rank, rule_id in enumerate(
+    sorted((*RULE_CATALOG, *VARIATION_RULE_SPECS), key=rule_sort_key))}
+_DEFAULT_HOOKS = frozenset(DEFAULT_HOOKS)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +430,17 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
 class SpecializationProfile:
     """The generic rule set plus applied variation resolutions.
 
-    A builder while being tailored: apply() deep-freezes each resolution's
-    params (read-only mappings and tuples) and records its effects.
-    finalize() validates cross-resolution consistency and freezes the
-    profile. Finalized profiles are immutable and safe to share across
+    A builder while being tailored: apply() checks each resolution's params
+    against its variation point's table, unless the table already made it,
+    keeps them frozen (read-only mappings and tuples) and records its
+    effects. finalize() validates cross-resolution consistency and freezes
+    the profile. Finalized profiles are immutable and safe to share across
     evaluator threads.
     """
 
     def __init__(self) -> None:
         self._rules: dict[str, RuleSpec] = dict(RULE_CATALOG)
-        self._hooks: dict[str, Mapping | None] = {name: None for name in DEFAULT_HOOKS}
+        self._hooks: dict[str, Mapping | None] = dict.fromkeys(DEFAULT_HOOKS)
         self._enum_extensions: dict[str, frozenset[str]] = {}
         self._resolutions: dict[str, Resolution] = {}
         self._adaptations: dict[str, Adaptation] = {}
@@ -505,10 +461,11 @@ class SpecializationProfile:
     # -- read API used by the engine ----------------------------------------
 
     def rules(self) -> list[RuleSpec]:
-        return sorted(self._rules.values(), key=lambda s: rule_sort_key(s.id))
+        rules = self._rules
+        return [rules[rule_id] for rule_id in self.active_rule_ids()]
 
     def active_rule_ids(self) -> list[str]:
-        return [spec.id for spec in self.rules()]
+        return sorted(self._rules, key=_RULE_RANK.__getitem__)
 
     @property
     def adaptations(self) -> Mapping[str, Adaptation]:
@@ -554,69 +511,38 @@ class SpecializationProfile:
         if vp is None:
             raise UnknownVariationError(
                 f"unknown variation point {resolution.variationId!r}")
-        if self.has_resolution(vp.id):
+        if vp.id in self._resolutions:
             raise DuplicateResolutionError(
                 f"{vp.id} has already been resolved in this profile")
-        params = _frozen(vp.schema(_require_mapping(vp.id, resolution.parameters)))
-
-        touched_model: list[str] = []
-        touched_constraints: list[str] = []
-
-        for enum_name, literal in vp.enumExtensions:
-            if enum_name not in enums.EXTENSIBLE_ENUMERATIONS:
-                raise ResolutionParameterError(
-                    f"{vp.id}: enumeration {enum_name} is not extensible")
-            current = self._enum_extensions.get(enum_name, frozenset())
-            self._enum_extensions[enum_name] = current | {literal}
-            touched_model.append(f"added literal {literal} to {enum_name}")
-
-        for hook in vp.hooks:
-            self._hooks[hook] = params
-            targets = ", ".join(vp.hookTargets) if vp.hookTargets else "added rules"
-            touched_constraints.append(
-                f"implemented {hook} (used by {targets}) from the resolution "
-                "parameters")
-            for target in vp.hookTargets:
-                touched_model.append(f"updated version of constraint {target}")
-
+        if not resolution._checked:
+            resolution = vp.resolve(resolution.parameters)
+        params = resolution.parameters
         for rule_id in vp.replacesRules:
             if rule_id not in self._rules:
                 raise ProfileConsistencyError(
                     f"{vp.id}: cannot replace {rule_id}; it is not active")
-            del self._rules[rule_id]
-            touched_constraints.append(f"removed constraint {rule_id}")
-
-        for rule_id in vp.addsRules:
-            spec = VARIATION_RULE_SPECS[rule_id]
-            self._rules[spec.id] = spec
-            touched_model.append(f"new constraint {rule_id}")
-            touched_constraints.append(f"added constraint {rule_id}")
-
-        for hook in vp.parameterHooks:
+        for enum_name, literal in vp.enumExtensions:
+            current = self._enum_extensions.get(enum_name, frozenset())
+            self._enum_extensions[enum_name] = current | {literal}
+        for hook in vp.hooks + vp.parameterHooks:
             self._hooks[hook] = params
-            touched_constraints.append(
-                f"implemented {hook} from the resolution parameters")
-
+        for rule_id in vp.replacesRules:
+            del self._rules[rule_id]
+        for rule_id in vp.addsRules:
+            self._rules[rule_id] = VARIATION_RULE_SPECS[rule_id]
         if vp.adaptsRules:
-            for rule_id, descriptor in params["adaptations"].items():
+            adapted = params["adaptations"]
+            for rule_id, descriptor in adapted.items():
                 self._adaptations[rule_id] = Adaptation(
-                    removedRights=frozenset(descriptor["removedRights"]),
-                    exemptProcessingTypes=frozenset(
-                        descriptor["exemptProcessingTypes"]),
-                )
-                touched_model.append(f"adapted constraint {rule_id}")
-                touched_constraints.append(
-                    f"restricted constraint {rule_id} per the descriptor")
-
-        for action in touched_model:
-            self._audit.append(AuditEntry(vp.id, "model", action))
-        for action in touched_constraints:
-            self._audit.append(AuditEntry(vp.id, "constraints", action))
-        self._audit.append(AuditEntry(
-            vp.id, "glossary",
-            f"added terminology introduced by {vp.id} ({vp.summary})"))
-
-        self._resolutions[vp.id] = Resolution(vp.id, params)
+                    frozenset(descriptor["removedRights"]),
+                    frozenset(descriptor["exemptProcessingTypes"]))
+            self._audit += [AuditEntry(vp.id, "model", f"adapted constraint {rule_id}")
+                            for rule_id in adapted]
+            self._audit += [AuditEntry(vp.id, "constraints",
+                                       f"restricted constraint {rule_id} per the "
+                                       "descriptor") for rule_id in adapted]
+        self._audit += vp.audit
+        self._resolutions[vp.id] = resolution
         return self
 
     def finalize(self) -> "SpecializationProfile":
@@ -649,16 +575,6 @@ class SpecializationProfile:
                 raise ProfileConsistencyError(
                     f"V5 adapts {rule_id}, which another resolution removed")
 
-        for spec in self._rules.values():
-            for hook in spec.hooksUsed:
-                if hook in DEFAULT_HOOKS:
-                    continue  # has a built-in default
-                vp = _VARIATION_FOR_PARAMETER_HOOK.get(hook)
-                if vp is not None and spec.origin == "variation" \
-                        and not self.has_resolution(vp):
-                    raise ProfileConsistencyError(
-                        f"rule {spec.id} needs {hook}, but {vp} is unresolved")
-
         self._finalized = True
         self._adaptations = MappingProxyType(self._adaptations)
         self._enum_extensions = MappingProxyType(self._enum_extensions)
@@ -682,31 +598,24 @@ class SpecializationProfile:
                 }
                 for rule_id, desc in self._adaptations.items()
             },
-            "hooks": {
-                name: plain_data(params)
-                for name, params in self._hooks.items()
-                if name in DEFAULT_HOOKS
-            },
+            "hooks": {name: params for name, params in self._hooks.items()
+                      if name in _DEFAULT_HOOKS},
             "enums": {
                 name: sorted(values)
                 for name, values in self._enum_extensions.items()
             },
-            "parameters": {
-                variation_id: plain_data(resolution.parameters)
-                for variation_id, resolution in self._resolutions.items()
-            },
+            "parameters": {variation_id: resolution.parameters
+                           for variation_id, resolution in self._resolutions.items()},
         }
-        blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        blob = _FINGERPRINT_ENCODER.encode(state)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_VARIATION_FOR_PARAMETER_HOOK = {
-    "V_verifyFurtherConditionsAndLimit": "V4",
-    "V_ReconcileByLaw": "V8",
-    "V_verifyTransferLimits": "V10",
-    "V_checkedIDProcessing": "V15",
-    "V_checkDerrogationsFromRights": None,  # shared by V17/V18/V19
-}
+# Params are frozen, so the only value JSON cannot encode is a read-only view;
+# tuples encode as lists and sort_keys orders every mapping. The tables build
+# params bottom-up from new containers, so none can hold itself.
+_FINGERPRINT_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=dict, check_circular=False)
 
 
 def plain_data(value):
@@ -717,16 +626,6 @@ def plain_data(value):
         return {k: plain_data(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [plain_data(v) for v in value]
-    return value
-
-
-def _frozen(value):
-    """``value`` with every dict as a read-only view and every list as a
-    tuple, all the way down."""
-    if isinstance(value, dict):
-        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, (list, tuple)):
-        return tuple(_frozen(v) for v in value)
     return value
 
 

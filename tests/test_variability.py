@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from fixtures import compliant_document, document_bytes, find, obj
-from gdpr_engine import evaluate_all, evaluate_rule, load_instance
-from gdpr_engine.rules import FAIL, NOT_APPLICABLE, PASS
+from gdpr_engine import cli, enums, evaluate_all, evaluate_rule, load_instance, rules
+from gdpr_engine import variability
+from gdpr_engine.ingest import SCHEMA, LoadError, load_profile
+from gdpr_engine.rules import DEFAULT_HOOKS, FAIL, NOT_APPLICABLE, PASS, VARIATION_RULE_SPECS
 from gdpr_engine.variability import (
     ADAPT,
     ADD,
@@ -24,6 +29,7 @@ from gdpr_engine.variability import (
     SpecializationProfile,
     UnknownVariationError,
     VARIATION_POINTS,
+    VariationPoint,
     apply_resolution,
     build_profile,
     default_profile,
@@ -200,6 +206,65 @@ def test_a_check_computes_the_profile_fingerprint_once(monkeypatch):
 def test_parameter_schema_violations(variation, params, message):
     with pytest.raises(ResolutionParameterError, match=message):
         build_profile([Resolution(variation, params)])
+
+
+FULL_PROFILE = Path(__file__).resolve().parents[1] / "checkbench" / "profiles" / "full.json"
+
+
+def test_a_full_profile_check_checks_each_resolution_once_and_sorts_by_lookup(
+        monkeypatch, tmp_path, capsys):
+    resolved = []
+    resolve = VariationPoint.resolve
+
+    def counted_resolve(vp, params):
+        resolved.append(vp.id)
+        return resolve(vp, params)
+
+    sort_keys = []
+    monkeypatch.setattr(VariationPoint, "resolve", counted_resolve)
+    for module in (rules, variability):
+        monkeypatch.setattr(module, "rule_sort_key", sort_keys.append)
+    instance = tmp_path / "instance.json"
+    instance.write_bytes(document_bytes(compliant_document()))
+    argv = ["check", "--profile", str(FULL_PROFILE), "--instance", str(instance),
+            "--format", "machine"]
+    assert cli.main(argv) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["verdicts"]
+    assert sorted(resolved) == sorted(f"V{i}" for i in range(1, 21))
+    assert sort_keys == []
+
+
+def test_only_resolutions_the_table_made_skip_the_check():
+    loaded = load_profile(b'{"resolutions": [{"variation": "V2", "params": '
+                          b'{"acceptedDocumentKinds": ["PASSPORT"]}}]}')
+    assert loaded == [Resolution("V2", {"acceptedDocumentKinds": ("PASSPORT",)})]
+    assert build_profile(loaded).resolutions == tuple(loaded)
+    emptied = dataclasses.replace(loaded[0], parameters=MappingProxyType(
+        {"acceptedDocumentKinds": ()}))
+    for resolution in (emptied, Resolution("V2", emptied.parameters)):
+        with pytest.raises(ResolutionParameterError, match="must be nonempty"):
+            build_profile([resolution])
+
+
+def test_an_unhashable_infringement_kind_is_a_schema_error():
+    document = {"resolutions": [{"variation": "V13", "params": {"penalties": [
+        {"infringementKind": ["PRINCIPLE_VIOLATION"], "penaltyEUR": 1}]}}]}
+    with pytest.raises(LoadError) as excinfo:
+        load_profile(json.dumps(document).encode())
+    assert excinfo.value.code == SCHEMA
+    assert str(excinfo.value) == \
+        "SCHEMA: V13: ['PRINCIPLE_VIOLATION'] is not an infringement kind"
+
+
+def test_declared_effects_are_consistent():
+    for vp in VARIATION_POINTS.values():
+        for enum_name, _literal in vp.enumExtensions:
+            assert enum_name in enums.EXTENSIBLE_ENUMERATIONS, vp.id
+        # A rule a point adds needs only built-in hooks and the point's own,
+        # so a profile holding the rule has every hook it reads.
+        for rule_id in vp.addsRules:
+            needed = VARIATION_RULE_SPECS[rule_id].hooksUsed
+            assert needed <= {*DEFAULT_HOOKS, *vp.parameterHooks}, (vp.id, rule_id)
 
 
 def test_resolution_table_mirrors_the_applied_actions():
