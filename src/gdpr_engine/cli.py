@@ -10,7 +10,8 @@ import sys
 from .glossary import glossary_lookup
 from .ingest import LoadError, canonical_json, load_instance, load_profile
 from .registry import UnknownClassError, format_citations, trace_articles
-from .rules import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, ComplianceReport, evaluate_all
+from .rules import (FAIL, NOT_APPLICABLE, PASS, RULE_CATALOG, UNKNOWN,
+                    ComplianceReport, evaluate_all)
 from .timebase import TimestampError
 from .variability import VariabilityError, build_profile, default_profile
 
@@ -103,9 +104,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_tailor(args: argparse.Namespace) -> int:
     try:
-        with open(args.profile, "rb") as handle:
-            resolutions = load_profile(handle.read())
-        profile = build_profile(resolutions)
+        profile = _load_profile_from_path(args.profile)
     except (LoadError, VariabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -129,11 +128,10 @@ def cmd_tailor(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     identifier = args.identifier
-    profile = default_profile()
-    for spec in profile.rules():
-        if spec.id == identifier:
-            print(format_citations([str(a) for a in spec.articles]))
-            return EXIT_OK
+    spec = RULE_CATALOG.get(identifier)
+    if spec is not None:
+        print(format_citations([str(a) for a in spec.articles]))
+        return EXIT_OK
     try:
         citations = trace_articles(identifier)
     except UnknownClassError:

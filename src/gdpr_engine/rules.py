@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import enums, timebase
 from .model import (
+    DEFAULT_CHILD_AGE_LIMIT,
     Actor,
     Consent,
     DataProcessing,
@@ -119,6 +120,10 @@ FINE_TIER2_KINDS = frozenset({
     "CORRECTIVE_ACTION_VIOLATION",
     "OTHER_LOCAL_LAW_VIOLATION",
 })
+
+# Art. 9(4) categories that V4's national conditions cover unless its
+# resolution names fewer; also the categories V4's table allows.
+_V4_CATEGORIES = frozenset({"GENETIC", "BIOMETRIC", "HEALTH"})
 
 ALWAYS_APPLICABLE_RIGHTS = frozenset({
     "RIGHT_TO_BE_INFORMED",
@@ -220,12 +225,14 @@ class EvalContext:
         self._scope: list[DataProcessing] | None = None
         # The profile reads that per-processing checks repeat, read once.
         self._adaptations = {} if profile is None else profile.adaptations
-        research = self.resolution_params("V17") or {}
-        self._research_derogations = frozenset(research.get("derogatedRights", ()))
-        self._research_types = research.get("processingTypes",
-                                            ("RESEARCH", "STATISTICAL_PURPOSES"))
-        archiving = self.resolution_params("V18") or {}
-        self._archiving_derogations = frozenset(archiving.get("derogatedRights", ()))
+        research = self.resolution_params("V17")
+        archiving = self.resolution_params("V18")
+        self._research_derogations = frozenset(
+            research["derogatedRights"] if research else ())
+        self._research_types = research.get(
+            "processingTypes", ("RESEARCH", "STATISTICAL_PURPOSES")) if research else ()
+        self._archiving_derogations = frozenset(
+            archiving["derogatedRights"] if archiving else ())
 
     # -- hooks --------------------------------------------------------------
 
@@ -283,7 +290,7 @@ class EvalContext:
         return [seen[i] for i in sorted(seen)]
 
     def consent_of(self, p: DataProcessing) -> Consent | None:
-        return self.graph.get(p.consent) if p.consent else None
+        return self.graph.get(p.consent)
 
     def consent_based(self, p: DataProcessing) -> bool:
         return p.consent is not None or "BY_CONSENT" in self.bases(p)
@@ -375,38 +382,32 @@ class EvalContext:
 
 def _hook_minimum_age(ctx: EvalContext, params, subject: DataSubject,
                       processing: DataProcessing | None) -> int:
-    if not params:
-        return 16
+    if params is None:
+        return DEFAULT_CHILD_AGE_LIMIT
     return ctx.profile.minimum_age(ctx.graph, subject, processing)
 
 
 def _hook_parent_documents(ctx: EvalContext, params,
                            parent: ResponsibleParent) -> bool:
-    accepted = set(params.get("acceptedDocumentKinds", ())) if params else set()
+    accepted = None if params is None else params["acceptedDocumentKinds"]
     for doc in ctx.graph.resolve(parent.documents):
-        if doc.valid and (not accepted or doc.kind in accepted):
+        if doc.valid and (accepted is None or doc.kind in accepted):
             return True
     return False
 
 
 def _hook_prohibition_liftable(ctx: EvalContext, params,
                                processing: DataProcessing) -> bool:
-    if not params:
-        return True
-    return bool(params.get("canBeLifted", True))
+    return params is None or params["canBeLifted"]
 
 
 def _hook_without_instructions(ctx: EvalContext, params, processor: Actor,
                                processing: DataProcessing) -> bool:
-    if not params:
-        return False
-    return bool(params.get("allowedWithoutInstructions", False))
+    return params is not None and params["allowedWithoutInstructions"]
 
 
 def _hook_bodies_must_designate_dpo(ctx: EvalContext, params, actor: Actor) -> bool:
-    if not params:
-        return False
-    return actor.kind in set(params.get("actorKinds", ()))
+    return params is not None and actor.kind in params["actorKinds"]
 
 
 HOOK_IMPLS: dict[str, Callable] = {
@@ -499,10 +500,7 @@ def _c1(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def check_applicability(graph: InstanceGraph, profile=None,
                         check_date: str | None = None) -> RuleVerdict:
     """Standalone evaluation of the applicability gate."""
-    ctx = EvalContext(graph, profile,
-                      None if check_date is None else timebase.parse_minutes(check_date))
-    status, findings = _c1(ctx)
-    return RuleVerdict("C1", status, RULE_CATALOG["C1"].articles, tuple(findings))
+    return evaluate_rule("C1", graph, profile, check_date=check_date)
 
 
 # ---------------------------------------------------------------------------
@@ -679,12 +677,16 @@ def _c8(ctx: EvalContext) -> tuple[str, list[Finding]]:
 # Chapter III: data subject rights
 # ---------------------------------------------------------------------------
 
-def _rights_scope(ctx: EvalContext, rule_id: str) -> list[DataProcessing]:
+def _rights_scope(ctx: EvalContext, rule_id: str,
+                  right: str | None = None) -> list[DataProcessing]:
+    """In-scope processings whose subjects hold rights under ``rule_id``:
+    identifying, not exempt, not adapted out, and ``right`` not derogated."""
     return [
         p for p in ctx.scope()
         if ctx.identifiable(p)
         and not ctx.rights_exempt(p)
         and not ctx.adapted_out(rule_id, p)
+        and not (right and ctx.right_derogated(p, right))
     ]
 
 
@@ -803,8 +805,7 @@ def _c11(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @rule("C12", (15,), "content that must back the right of access")
 def _c12(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    scope = [p for p in _rights_scope(ctx, "C12")
-             if not ctx.right_derogated(p, "RIGHT_TO_ACCESS")]
+    scope = _rights_scope(ctx, "C12", "RIGHT_TO_ACCESS")
     failures: list[Finding] = []
     for p in scope:
         required = {
@@ -828,24 +829,11 @@ def _c12(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(scope, failures)
 
 
-def _granted_requests(ctx: EvalContext, p: DataProcessing,
-                      right: str) -> list[RightRequest]:
-    out: list[RightRequest] = []
-    for support in ctx.supports(p):
-        if support.right != right:
-            continue
-        out.extend(r for r in ctx.requests(support) if r.granted)
-    return out
-
-
-def _denied_requests(ctx: EvalContext, p: DataProcessing,
-                     right: str) -> list[RightRequest]:
-    out: list[RightRequest] = []
-    for support in ctx.supports(p):
-        if support.right != right:
-            continue
-        out.extend(r for r in ctx.requests(support) if not r.granted)
-    return out
+def _requests(ctx: EvalContext, p: DataProcessing, right: str,
+              granted: bool) -> list[RightRequest]:
+    """The granted (or denied) requests under ``p``'s supports of ``right``."""
+    return [request for support in ctx.supports(p) if support.right == right
+            for request in ctx.requests(support) if request.granted == granted]
 
 
 def _notify_recipients(ctx: EvalContext, p: DataProcessing, about: str,
@@ -865,10 +853,8 @@ def _notify_recipients(ctx: EvalContext, p: DataProcessing, about: str,
 def _c13(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
-    for p in _rights_scope(ctx, "C13"):
-        if ctx.right_derogated(p, "RIGHT_TO_RECTIFICATION"):
-            continue
-        granted = _granted_requests(ctx, p, "RIGHT_TO_RECTIFICATION")
+    for p in _rights_scope(ctx, "C13", "RIGHT_TO_RECTIFICATION"):
+        granted = _requests(ctx, p, "RIGHT_TO_RECTIFICATION", True)
         if not granted:
             continue
         instances.extend(granted)
@@ -881,15 +867,13 @@ def _c14(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     allowed = enums.ENUMERATIONS[enums.DENIAL_ERASURE_REASON]
-    for p in _rights_scope(ctx, "C14"):
-        if ctx.right_derogated(p, "RIGHT_TO_ERASURE"):
-            continue
-        for request in _denied_requests(ctx, p, "RIGHT_TO_ERASURE"):
+    for p in _rights_scope(ctx, "C14", "RIGHT_TO_ERASURE"):
+        for request in _requests(ctx, p, "RIGHT_TO_ERASURE", False):
             instances.append(request)
             if request.denialReason not in allowed:
                 failures.append(Finding(
                     request.id, "erasure denied without an admitted ground"))
-        granted = _granted_requests(ctx, p, "RIGHT_TO_ERASURE")
+        granted = _requests(ctx, p, "RIGHT_TO_ERASURE", True)
         if granted:
             instances.extend(granted)
             _notify_recipients(ctx, p, "ERASURE", failures)
@@ -900,15 +884,13 @@ def _c14(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _c15(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
-    for p in _rights_scope(ctx, "C15"):
-        if ctx.right_derogated(p, "RIGHT_TO_RESTRICTION"):
-            continue
-        for request in _denied_requests(ctx, p, "RIGHT_TO_RESTRICTION"):
+    for p in _rights_scope(ctx, "C15", "RIGHT_TO_RESTRICTION"):
+        for request in _requests(ctx, p, "RIGHT_TO_RESTRICTION", False):
             instances.append(request)
             if request.denialReason is None:
                 failures.append(Finding(
                     request.id, "restriction denied without a stated reason"))
-        granted = _granted_requests(ctx, p, "RIGHT_TO_RESTRICTION")
+        granted = _requests(ctx, p, "RIGHT_TO_RESTRICTION", True)
         if granted:
             instances.extend(granted)
             _notify_recipients(ctx, p, "RESTRICTION", failures)
@@ -919,9 +901,7 @@ def _c15(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _c16(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
-    for p in _rights_scope(ctx, "C16"):
-        if ctx.right_derogated(p, "RIGHT_TO_PORTABILITY"):
-            continue
+    for p in _rights_scope(ctx, "C16", "RIGHT_TO_PORTABILITY"):
         bases = ctx.bases(p)
         for support in ctx.supports(p):
             if support.right != "RIGHT_TO_PORTABILITY":
@@ -951,22 +931,20 @@ def _c16(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _c17(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
-    for p in _rights_scope(ctx, "C17"):
-        if ctx.right_derogated(p, "RIGHT_TO_OBJECT"):
-            continue
+    for p in _rights_scope(ctx, "C17", "RIGHT_TO_OBJECT"):
         applicable = (
             ctx.bases(p) & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"}
             or "PROFILING" in p.operations
         )
         if not applicable:
             continue
-        for request in _denied_requests(ctx, p, "RIGHT_TO_OBJECT"):
+        for request in _requests(ctx, p, "RIGHT_TO_OBJECT", False):
             instances.append(request)
             if request.denialReason is None:
                 failures.append(Finding(
                     request.id, "objection rejected without demonstrating an "
                                 "overriding ground"))
-        instances.extend(_granted_requests(ctx, p, "RIGHT_TO_OBJECT"))
+        instances.extend(_requests(ctx, p, "RIGHT_TO_OBJECT", True))
     return _status(instances, failures)
 
 
@@ -1213,7 +1191,7 @@ def _c27(ctx: EvalContext) -> tuple[str, list[Finding]]:
             or (p.largeScale and special)
             or (p.largeScale and p.systematicMonitoring)
         )
-        dpia = ctx.graph.get(p.dpia) if p.dpia else None
+        dpia = ctx.graph.get(p.dpia)
         if not mandatory and dpia is None:
             continue
         instances.append(p)
@@ -1234,7 +1212,7 @@ def _c28(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        dpia = ctx.graph.get(p.dpia) if p.dpia else None
+        dpia = ctx.graph.get(p.dpia)
         if dpia is None:
             continue
         consultation = dpia.consultation
@@ -1491,16 +1469,28 @@ def _fine_findings(ctx: EvalContext, infringement: Infringement,
     return failures, notes
 
 
-@rule("C35", (83,), "administrative fines stay within the two statutory ceilings")
-def _c35(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    infringements = ctx.graph.of_class("Infringement")
+def _fine_rule(ctx: EvalContext, public: bool | None = None,
+               findings=_fine_findings) -> tuple[str, list[Finding]]:
+    """``findings`` of every recorded infringement, or only of those by a
+    public authority (``public`` true) or by anyone else (false)."""
+    instances: list[Infringement] = []
     failures: list[Finding] = []
     notes: list[Finding] = []
-    for infringement in infringements:
-        bad, info = _fine_findings(ctx, infringement)
+    for infringement in ctx.graph.of_class("Infringement"):
+        if public is not None:
+            actor = ctx.graph.get(infringement.by)
+            if public != (actor is not None and actor.kind in PUBLIC_AUTHORITY_KINDS):
+                continue
+        instances.append(infringement)
+        bad, info = findings(ctx, infringement)
         failures.extend(bad)
         notes.extend(info)
-    return _status(infringements, failures, notes)
+    return _status(instances, failures, notes)
+
+
+@rule("C35", (83,), "administrative fines stay within the two statutory ceilings")
+def _c35(ctx: EvalContext) -> tuple[str, list[Finding]]:
+    return _fine_rule(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,25 +1523,28 @@ def _v2(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
+def _missing_measures(ctx: EvalContext, p: DataProcessing,
+                      required: Sequence[str]) -> list[str]:
+    """The ``required`` technical-measure kinds ``p`` lacks, sorted."""
+    return sorted(set(required).difference(
+        m.kind for m in ctx.measures(p, "Technical")))
+
+
 @variation_rule("V4", (9,), "national conditions on genetic, biometric, and "
                             "health data", hooks=("V_verifyFurtherConditionsAndLimit",))
 def _v4(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V4") or {}
-    restricted = set(params.get("restrictedCategories",
-                                ("GENETIC", "BIOMETRIC", "HEALTH")))
-    required = set(params.get("requiredTechnicalMeasures", ()))
-    prohibited = bool(params.get("prohibited", False))
+    params = ctx.resolution_params("V4")
+    restricted = frozenset(params.get("restrictedCategories", _V4_CATEGORIES))
     instances = [p for p in ctx.scope() if ctx.categories(p) & restricted]
     failures: list[Finding] = []
     for p in instances:
-        hit = sorted(ctx.categories(p) & restricted)
-        if prohibited:
+        if params["prohibited"]:
+            hit = sorted(ctx.categories(p) & restricted)
             failures.append(Finding(
                 p.id, "processing of " + ", ".join(hit)
                       + " is prohibited by national law"))
             continue
-        kinds = {m.kind for m in ctx.measures(p, "Technical")}
-        missing = sorted(required - kinds)
+        missing = _missing_measures(ctx, p, params["requiredTechnicalMeasures"])
         if missing:
             failures.append(Finding(
                 p.id, "national conditions unmet, measures missing: "
@@ -1579,14 +1572,13 @@ def _v7(ctx: EvalContext) -> tuple[str, list[Finding]]:
                              "with freedom of expression",
                 hooks=("V_ReconcileByLaw",))
 def _v8(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V8") or {}
-    wanted_types = params.get("requiredForProcessingTypes")
+    wanted_types = ctx.resolution_params("V8").get("requiredForProcessingTypes")
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
         if wanted_types and p.type not in wanted_types:
             continue
-        dpia = ctx.graph.get(p.dpia) if p.dpia else None
+        dpia = ctx.graph.get(p.dpia)
         if dpia is None:
             continue
         instances.append(dpia)
@@ -1600,8 +1592,7 @@ def _v8(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @variation_rule("V10", (49,), "national limits on transfers of specific categories",
                 hooks=("V_verifyTransferLimits",))
 def _v10(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V10") or {}
-    limits = params.get("limits", ())
+    limits = ctx.resolution_params("V10")["limits"]
     instances: list = []
     failures: list[Finding] = []
     for p, transfer in _transfer_pairs(ctx):
@@ -1611,8 +1602,8 @@ def _v10(ctx: EvalContext) -> tuple[str, list[Finding]]:
         code = to.code if to is not None else None
         instances.append(transfer)
         for limit in limits:
-            categories = set(limit.get("categories", ()))
-            countries = set(limit.get("toCountries", ()))
+            categories = set(limit["categories"])
+            countries = limit["toCountries"]
             if categories and not (ctx.categories(p) & categories):
                 continue
             if countries and code not in countries:
@@ -1638,55 +1629,34 @@ def _v11(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @variation_rule("V12_1", (83,), "fine ceilings for private organizations")
 def _v12_1(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    instances: list = []
-    failures: list[Finding] = []
-    notes: list[Finding] = []
-    for infringement in ctx.graph.of_class("Infringement"):
-        actor = ctx.graph.get(infringement.by) if infringement.by else None
-        if actor is not None and actor.kind in PUBLIC_AUTHORITY_KINDS:
-            continue
-        instances.append(infringement)
-        bad, info = _fine_findings(ctx, infringement)
-        failures.extend(bad)
-        notes.extend(info)
-    return _status(instances, failures, notes)
+    return _fine_rule(ctx, public=False)
+
+
+def _no_public_fine(ctx: EvalContext, infringement: Infringement
+                    ) -> tuple[list[Finding], list[Finding]]:
+    """(failures, notes) where fines do not apply to public bodies."""
+    if infringement.imposedFineEUR:
+        return [Finding(infringement.id, "administrative fines do not apply to "
+                                         "public bodies in this member state")], []
+    return [], [Finding(infringement.id, "no administrative fine applicable to a "
+                                         "public body")]
 
 
 @variation_rule("V12_2", (83,), "national fine regime for public authorities")
 def _v12_2(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V12") or {}
-    applies = bool(params.get("finesApplyToPublicBodies", True))
+    params = ctx.resolution_params("V12")
+    if not params["finesApplyToPublicBodies"]:
+        return _fine_rule(ctx, public=True, findings=_no_public_fine)
     cap = params.get("publicBodyFineCapEUR")
-    cap_cents = int(cap) * 100 if cap is not None else None
-    instances: list = []
-    failures: list[Finding] = []
-    notes: list[Finding] = []
-    for infringement in ctx.graph.of_class("Infringement"):
-        actor = ctx.graph.get(infringement.by) if infringement.by else None
-        if actor is None or actor.kind not in PUBLIC_AUTHORITY_KINDS:
-            continue
-        instances.append(infringement)
-        if not applies:
-            if infringement.imposedFineEUR:
-                failures.append(Finding(
-                    infringement.id, "administrative fines do not apply to "
-                                     "public bodies in this member state"))
-            else:
-                notes.append(Finding(
-                    infringement.id, "no administrative fine applicable to a "
-                                     "public body"))
-            continue
-        bad, info = _fine_findings(ctx, infringement, cap_cents)
-        failures.extend(bad)
-        notes.extend(info)
-    return _status(instances, failures, notes)
+    cap_cents = None if cap is None else cap * 100
+    return _fine_rule(ctx, public=True,
+                      findings=lambda ctx, i: _fine_findings(ctx, i, cap_cents))
 
 
 @variation_rule("V13", (84,), "additional national penalties by infringement kind")
 def _v13(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V13") or {}
     penalties = {entry["infringementKind"]: entry["penaltyEUR"]
-                 for entry in params.get("penalties", ())}
+                 for entry in ctx.resolution_params("V13")["penalties"]}
     instances: list = []
     notes: list[Finding] = []
     for infringement in ctx.graph.of_class("Infringement"):
@@ -1701,8 +1671,8 @@ def _v13(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @variation_rule("V14", (85,), "prior authorization for public-interest processing")
 def _v14(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V14") or {}
-    wanted = set(params.get("processingTypes", ("PUBLIC_INTEREST", "PUBLIC_HEALTH")))
+    wanted = set(ctx.resolution_params("V14").get(
+        "processingTypes", ("PUBLIC_INTEREST", "PUBLIC_HEALTH")))
     instances = [p for p in ctx.scope() if p.type in wanted]
     failures: list[Finding] = []
     for p in instances:
@@ -1717,18 +1687,15 @@ def _v14(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @variation_rule("V15", (87,), "conditions on processing national identifiers",
                 hooks=("V_checkedIDProcessing",))
 def _v15(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V15") or {}
-    allowed = bool(params.get("allowed", True))
-    required = set(params.get("requiredTechnicalMeasures", ()))
+    params = ctx.resolution_params("V15")
     instances = [p for p in ctx.scope() if "IDENTIFICATION" in ctx.categories(p)]
     failures: list[Finding] = []
     for p in instances:
-        if not allowed:
+        if not params["allowed"]:
             failures.append(Finding(
                 p.id, "processing of national identifiers is not permitted"))
             continue
-        kinds = {m.kind for m in ctx.measures(p, "Technical")}
-        missing = sorted(required - kinds)
+        missing = _missing_measures(ctx, p, params["requiredTechnicalMeasures"])
         if missing:
             failures.append(Finding(
                 p.id, "identifier processing lacks required measures: "
@@ -1738,21 +1705,16 @@ def _v15(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 def _derogation_note_rule(ctx: EvalContext, variation_id: str,
                           instances: list[DataProcessing]) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params(variation_id) or {}
-    rights = sorted(params.get("derogatedRights", ()))
-    notes = [
-        Finding(p.id, "national derogation applied to: " + ", ".join(rights))
-        for p in instances if rights
-    ]
+    rights = ", ".join(sorted(ctx.resolution_params(variation_id)["derogatedRights"]))
+    notes = [Finding(p.id, "national derogation applied to: " + rights)
+             for p in instances]
     return _status(instances, [], notes)
 
 
 @variation_rule("V17", (89,), "right derogations for research and statistics",
                 hooks=("V_checkDerrogationsFromRights",))
 def _v17(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    params = ctx.resolution_params("V17") or {}
-    wanted = set(params.get("processingTypes", ("RESEARCH", "STATISTICAL_PURPOSES")))
-    instances = [p for p in ctx.scope() if p.type in wanted]
+    instances = [p for p in ctx.scope() if p.type in ctx._research_types]
     return _derogation_note_rule(ctx, "V17", instances)
 
 
@@ -1820,8 +1782,25 @@ def _run_rule(spec: RuleSpec, ctx: EvalContext) -> RuleVerdict:
     )
 
 
-def _gate_verdict(spec: RuleSpec) -> RuleVerdict:
-    return RuleVerdict(spec.id, NOT_APPLICABLE, spec.articles, ())
+def _run_gated(specs: Sequence[RuleSpec], ctx: EvalContext) -> list[RuleVerdict]:
+    """Verdicts of ``specs`` in order. Once C1 reports NotApplicable, every
+    later rule reports it too, without running."""
+    verdicts: list[RuleVerdict] = []
+    gate_closed = False
+    for spec in specs:
+        if gate_closed:
+            verdicts.append(RuleVerdict(spec.id, NOT_APPLICABLE, spec.articles))
+            continue
+        verdict = _run_rule(spec, ctx)
+        gate_closed = spec.id == "C1" and verdict.status == NOT_APPLICABLE
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _context(graph: InstanceGraph, profile, check_date: str | None,
+             strict: bool) -> EvalContext:
+    minutes = None if check_date is None else timebase.parse_minutes(check_date)
+    return EvalContext(graph, profile, minutes, strict)
 
 
 def evaluate_rule(rule_id: str, graph: InstanceGraph, profile,
@@ -1831,13 +1810,8 @@ def evaluate_rule(rule_id: str, graph: InstanceGraph, profile,
     specs = _active_specs(profile)
     if rule_id not in specs:
         raise UnknownRuleError(rule_id)
-    minutes = None if check_date is None else timebase.parse_minutes(check_date)
-    ctx = EvalContext(graph, profile, minutes, strict)
-    if rule_id != "C1" and "C1" in specs:
-        gate = _run_rule(specs["C1"], ctx)
-        if gate.status == NOT_APPLICABLE:
-            return _gate_verdict(specs[rule_id])
-    return _run_rule(specs[rule_id], ctx)
+    gated = [specs["C1"]] if rule_id == "C1" else [specs["C1"], specs[rule_id]]
+    return _run_gated(gated, _context(graph, profile, check_date, strict))[-1]
 
 
 def _active_specs(profile) -> dict[str, RuleSpec]:
@@ -1879,19 +1853,9 @@ def evaluate_all(graph: InstanceGraph, profile,
     if not profile.finalized:
         raise ProfileNotFinalizedError("profile must be finalized before evaluation")
 
-    minutes = None if check_date is None else timebase.parse_minutes(check_date)
-    ctx = EvalContext(graph, profile, minutes, strict)
-
+    ctx = _context(graph, profile, check_date, strict)
     # profile.rules() is in catalog order, so the C1 gate runs first.
-    gate_passed = True
-    verdicts: list[RuleVerdict] = []
-    for spec in profile.rules():
-        if spec.id == "C1":
-            verdict = _run_rule(spec, ctx)
-            gate_passed = verdict.status != NOT_APPLICABLE
-        else:
-            verdict = _run_rule(spec, ctx) if gate_passed else _gate_verdict(spec)
-        verdicts.append(verdict)
+    verdicts = _run_gated(profile.rules(), ctx)
 
     summary = {status: 0 for status in STATUSES}
     for verdict in verdicts:

@@ -21,8 +21,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import enums
-from .model import Country, DataSubject, InstanceGraph
+from .model import DEFAULT_CHILD_AGE_LIMIT, Country, DataSubject, InstanceGraph
 from .rules import (
+    _V4_CATEGORIES,
     DEFAULT_HOOKS,
     RULE_CATALOG,
     RuleSpec,
@@ -49,7 +50,6 @@ V17_RIGHTS = frozenset({
 V18_RIGHTS = V17_RIGHTS | {"NOTIFICATION", "RIGHT_TO_PORTABILITY"}
 
 MIN_CHILD_AGE = 13
-MAX_CHILD_AGE = 16
 
 
 class VariabilityError(ValueError):
@@ -157,7 +157,7 @@ def _check_table(vid: str, table: Mapping[str, Param], params: object,
     if not _is_mapping(params):
         raise _error(vid, message)
     if not params.keys() <= table.keys():
-        unknown = sorted(params.keys() - table.keys())
+        unknown = sorted(map(str, params.keys() - table.keys()))
         raise _error(vid, f"unknown parameters {', '.join(unknown)}")
     out = {}
     for key, param in table.items():
@@ -216,6 +216,8 @@ def _ages(vid: str, key: str, param: Param, value: object) -> Mapping[str, int]:
             raise _error(vid, f"{code!r} is not a two-letter country code")
         if not isinstance(age, int) or isinstance(age, bool):
             raise _error(vid, f"age for {code} must be an integer")
+        if code.upper() in out:
+            raise _error(vid, f"country code {code.upper()} is given more than once")
         out[code.upper()] = age
     return MappingProxyType(out)
 
@@ -296,7 +298,8 @@ _PROCESSING_TYPES = Param(_names, allowed=enums.PROCESSING_CONTEXT, nonempty=Tru
 
 VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
     VariationPoint(
-        "V1", 8, "national minimum consent age between 13 and 16",
+        "V1", 8, f"national minimum consent age between {MIN_CHILD_AGE} and "
+                 f"{DEFAULT_CHILD_AGE_LIMIT}",
         frozenset({HOOK, ADD}), {
             "thresholds": Param(
                 _ages, {}, message="thresholds must map country codes to ages"),
@@ -317,9 +320,7 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
         frozenset({ADD}), {
             "prohibited": Param(_flag, False),
             "requiredTechnicalMeasures": Param(_names, (), enums.TECHNICAL_MEASURE_TYPE),
-            "restrictedCategories": Param(
-                _names, allowed=frozenset({"GENETIC", "BIOMETRIC", "HEALTH"}),
-                nonempty=True)},
+            "restrictedCategories": Param(_names, allowed=_V4_CATEGORIES, nonempty=True)},
         addsRules=("V4",), parameterHooks=("V_verifyFurtherConditionsAndLimit",)),
     VariationPoint(
         "V5", 23, "legislative restriction of the principle and right rules",
@@ -486,9 +487,6 @@ class SpecializationProfile:
     def hooks(self) -> Mapping[str, Mapping | None]:
         return dict(self._hooks)
 
-    def has_resolution(self, variation_id: str) -> bool:
-        return variation_id in self._resolutions
-
     def resolution_params(self, variation_id: str) -> Mapping | None:
         resolution = self._resolutions.get(variation_id)
         return None if resolution is None else resolution.parameters
@@ -496,11 +494,11 @@ class SpecializationProfile:
     def minimum_age(self, graph: InstanceGraph, subject: DataSubject,
                     processing) -> int:
         params = self.hook_params("V_getMinimumAgeForDS")
-        if not params:
-            return 16
-        country = graph.get(subject.residence) if subject.residence else None
+        if params is None:
+            return DEFAULT_CHILD_AGE_LIMIT
+        country = graph.get(subject.residence)
         code = country.code if isinstance(country, Country) else None
-        return int(params.get("thresholds", {}).get(code, params.get("default", 16)))
+        return params["thresholds"].get(code, params.get("default", DEFAULT_CHILD_AGE_LIMIT))
 
     # -- tailoring ------------------------------------------------------------
 
@@ -517,10 +515,6 @@ class SpecializationProfile:
         if not resolution._checked:
             resolution = vp.resolve(resolution.parameters)
         params = resolution.parameters
-        for rule_id in vp.replacesRules:
-            if rule_id not in self._rules:
-                raise ProfileConsistencyError(
-                    f"{vp.id}: cannot replace {rule_id}; it is not active")
         for enum_name, literal in vp.enumExtensions:
             current = self._enum_extensions.get(enum_name, frozenset())
             self._enum_extensions[enum_name] = current | {literal}
@@ -550,30 +544,26 @@ class SpecializationProfile:
             return self
 
         v1 = self.resolution_params("V1")
-        if v1:
-            ages = list(v1.get("thresholds", {}).values())
+        if v1 is not None:
+            ages = list(v1["thresholds"].values())
             if "default" in v1:
                 ages.append(v1["default"])
             for age in ages:
                 if age < MIN_CHILD_AGE:
                     raise ProfileConsistencyError(
-                        f"V1: age {age} is below 13, the lowest age national "
-                        "law may set")
-                if age > MAX_CHILD_AGE:
+                        f"V1: age {age} is below {MIN_CHILD_AGE}, the lowest age "
+                        "national law may set")
+                if age > DEFAULT_CHILD_AGE_LIMIT:
                     raise ProfileConsistencyError(
-                        f"V1: age {age} is above the generic limit of 16")
+                        f"V1: age {age} is above the generic limit of "
+                        f"{DEFAULT_CHILD_AGE_LIMIT}")
 
         v6 = self.resolution_params("V6")
         v7 = self.resolution_params("V7")
         if v6 is not None and v7 is not None and \
-                v6.get("allowedWithoutInstructions") != v7.get("allowedWithoutInstructions"):
+                v6["allowedWithoutInstructions"] != v7["allowedWithoutInstructions"]:
             raise ProfileConsistencyError(
                 "V6 and V7 disagree on processing without controller instructions")
-
-        for rule_id in self._adaptations:
-            if rule_id not in self._rules:
-                raise ProfileConsistencyError(
-                    f"V5 adapts {rule_id}, which another resolution removed")
 
         self._finalized = True
         self._adaptations = MappingProxyType(self._adaptations)

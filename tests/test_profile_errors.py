@@ -39,6 +39,10 @@ PARAMETER_ERRORS = [
     ("V16", {"bogus": 1, "another": 2}, "V16: unknown parameters another, bogus"),
     ("V11", {"x": None}, "V11: unknown parameters x"),
     ("V20", {"x": 1}, "V20: unknown parameters x"),
+    # a key that is not a string is named as text, sorted with the rest
+    ("V16", {1: 2, "a": 3}, "V16: unknown parameters 1, a"),
+    ("V10", {"limits": [{2: 1, "categories": []}]}, "V10: unknown parameters 2"),
+    ("V5", {"adaptations": {"C9": {}}, 2: 1}, "V5: unknown parameters 2"),
     # booleans
     ("V3", {"canBeLifted": "no"}, "V3: canBeLifted must be a boolean"),
     ("V3", {"canBeLifted": 1}, "V3: canBeLifted must be a boolean"),
@@ -63,6 +67,11 @@ PARAMETER_ERRORS = [
     ("V1", {"thresholds": {"AT": 14, "LU": "14"}}, "V1: age for LU must be an integer"),
     ("V1", {"thresholds": {"at": True}}, "V1: age for at must be an integer"),
     ("V1", {"thresholds": {"AT": 14.0}}, "V1: age for AT must be an integer"),
+    # a code given twice, in any case, is refused rather than overwritten
+    ("V1", {"thresholds": {"at": 14, "AT": 15}},
+     "V1: country code AT is given more than once"),
+    ("V1", {"thresholds": {"LU": 16, "Lu": 16}},
+     "V1: country code LU is given more than once"),
     ("V1", {"default": 16.0}, "V1: default must be an integer"),
     ("V1", {"default": False}, "V1: default must be an integer"),
     ("V1", {"default": None}, "V1: default must be an integer"),

@@ -265,6 +265,14 @@ def test_declared_effects_are_consistent():
         for rule_id in vp.addsRules:
             needed = VARIATION_RULE_SPECS[rule_id].hooksUsed
             assert needed <= {*DEFAULT_HOOKS, *vp.parameterHooks}, (vp.id, rule_id)
+    # A replaced rule is a generic one that only one point replaces, so it is
+    # still active when that point applies; an adapted rule is generic and
+    # never replaced, so it is still active when the profile is finalized.
+    replaced = [rule_id for vp in VARIATION_POINTS.values() for rule_id in vp.replacesRules]
+    assert len(replaced) == len(set(replaced))
+    assert set(replaced) <= rules.RULE_CATALOG.keys()
+    for vp in VARIATION_POINTS.values():
+        assert set(vp.adaptsRules) <= rules.RULE_CATALOG.keys() - set(replaced), vp.id
 
 
 def test_resolution_table_mirrors_the_applied_actions():
