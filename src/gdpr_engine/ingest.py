@@ -63,9 +63,6 @@ ERROR_CODES = (
 
 SUPPORTED_SCHEMA_VERSION = "1"
 
-# Plain string-list fields whose document order is meaningful.
-_ORDERED_STR_LISTS = frozenset({"instructions"})
-
 
 class LoadError(ValueError):
     """Structured ingestion failure."""
@@ -551,7 +548,8 @@ def _decoder_source(cls: str) -> str:
             add(2, f"for item in {value}:")
             add(3, "if type(item) is not str:")
             fail(4, repr(f"{label} entries must be strings"))
-            kept = value if spec.name in _ORDERED_STR_LISTS else f"sorted(set({value}))"
+            # A plain string list keeps its document order; an enum list is a set.
+            kept = value if spec.kind == "strlist" else f"sorted(set({value}))"
             add(2, f"{value} = tuple({kept})")
         elif spec.kind == "ts":
             add(1, f"elif type({value}) is not str or {value} not in parsed:")

@@ -19,21 +19,20 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import enums, timebase
 from .model import (
     DEFAULT_CHILD_AGE_LIMIT,
     Actor,
-    Consent,
+    Country,
     DataProcessing,
     DataSubject,
     DataTransfer,
     GenericNode,
     Infringement,
     InstanceGraph,
-    PersonalData,
-    Purpose,
+    Node,
     ResponsibleParent,
     RightRequest,
     RightSupport,
@@ -141,7 +140,7 @@ class UnknownRuleError(KeyError):
 
 
 class ProfileNotFinalizedError(RuntimeError):
-    """evaluate_all needs a finalized profile."""
+    """Evaluation needs a finalized profile."""
 
 
 class FineClassificationError(ValueError):
@@ -183,18 +182,6 @@ class RuleSpec:
     predicate: Callable[["EvalContext"], tuple[str, list[Finding]]]
     hooksUsed: frozenset[str] = frozenset()
     origin: str = "generic"  # "generic" | "variation"
-
-
-def rule_sort_key(rule_id: str) -> tuple:
-    """Catalog order: C1..C35 numerically, then variation rules."""
-    if rule_id.startswith("C") and rule_id[1:].isdigit():
-        return (0, int(rule_id[1:]), 0)
-    if rule_id.startswith("V"):
-        body = rule_id[1:].split("_")
-        major = int(body[0]) if body[0].isdigit() else 99
-        minor = int(body[1]) if len(body) > 1 and body[1].isdigit() else 0
-        return (1, major, minor)
-    return (2, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +241,6 @@ class EvalContext:
 
     # -- graph shorthands -----------------------------------------------------
 
-    def minutes(self, raw: str | None) -> int | None:
-        return self.graph.minutes(raw)
-
     def scope(self) -> list[DataProcessing]:
         """Processings the substantive rules quantify over: personal data is
         involved and the processing context is not out of material scope."""
@@ -267,61 +251,33 @@ class EvalContext:
             ]
         return self._scope
 
-    def personal_data(self, p: DataProcessing) -> list[PersonalData]:
-        return self.graph.resolve(p.personalData)
-
-    def purposes(self, p: DataProcessing) -> list[Purpose]:
-        return self.graph.resolve(p.purposes)
-
     def bases(self, p: DataProcessing) -> set[str]:
-        return {pu.legalBasis for pu in self.purposes(p)}
+        return {pu.legalBasis for pu in self.graph.resolve(p.purposes)}
 
     def categories(self, p: DataProcessing) -> set[str]:
         out: set[str] = set()
-        for pd in self.personal_data(p):
+        for pd in self.graph.resolve(p.personalData):
             out.update(pd.categories)
         return out
 
     def subjects(self, p: DataProcessing) -> list[DataSubject]:
-        seen: dict[str, DataSubject] = {}
-        for pd in self.personal_data(p):
-            for node in self.graph.resolve(pd.subjects):
-                seen[node.id] = node
-        return [seen[i] for i in sorted(seen)]
-
-    def consent_of(self, p: DataProcessing) -> Consent | None:
-        return self.graph.get(p.consent)
+        return _by_id(subject for pd in self.graph.resolve(p.personalData)
+                      for subject in self.graph.resolve(pd.subjects))
 
     def consent_based(self, p: DataProcessing) -> bool:
         return p.consent is not None or "BY_CONSENT" in self.bases(p)
 
-    def controllers(self, p: DataProcessing) -> list[Actor]:
-        return self.graph.resolve(p.controllers)
-
-    def processors(self, p: DataProcessing) -> list[Actor]:
-        return self.graph.resolve(p.processors)
-
     def actors(self, p: DataProcessing) -> list[Actor]:
-        seen: dict[str, Actor] = {}
-        for actor in self.controllers(p) + self.processors(p):
-            seen[actor.id] = actor
-        return [seen[i] for i in sorted(seen)]
+        return _by_id(self.graph.resolve(p.controllers) + self.graph.resolve(p.processors))
 
     def euro_link(self, actor: Actor) -> bool:
-        return any(c.isEUMemberState or c.EULawApplies
-                   for c in self.graph.resolve(actor.countries))
+        return any(_under_eu_law(c) for c in self.graph.resolve(actor.countries))
 
     def measures(self, p: DataProcessing, cls: str) -> list[SecurityMeasure]:
         return [m for m in self.graph.resolve(p.securityMeasures) if m.cls == cls]
 
-    def supports(self, p: DataProcessing) -> list[RightSupport]:
-        return self.graph.resolve(p.supportedRights)
-
-    def requests(self, support: RightSupport) -> list[RightRequest]:
-        return self.graph.resolve(support.requests)
-
     def identifiable(self, p: DataProcessing) -> bool:
-        return any(pd.identifiesSubject for pd in self.personal_data(p))
+        return any(pd.identifiesSubject for pd in self.graph.resolve(p.personalData))
 
     def notification_for(self, p: DataProcessing, about: str) -> GenericNode | None:
         for node in self.graph.referrers(p.id, "Notification", "processing"):
@@ -338,15 +294,12 @@ class EvalContext:
 
     # -- profile-driven scoping ------------------------------------------------
 
-    def adaptation(self, rule_id: str):
-        return self._adaptations.get(rule_id)
-
     def adapted_out(self, rule_id: str, p: DataProcessing) -> bool:
-        desc = self.adaptation(rule_id)
+        desc = self._adaptations.get(rule_id)
         return bool(desc and p.type in desc.exemptProcessingTypes)
 
     def right_removed(self, rule_id: str, right: str) -> bool:
-        desc = self.adaptation(rule_id)
+        desc = self._adaptations.get(rule_id)
         return bool(desc and right in desc.removedRights)
 
     def right_derogated(self, p: DataProcessing, right: str) -> bool:
@@ -354,14 +307,23 @@ class EvalContext:
         return (right in self._research_derogations and p.type in self._research_types
                 or right in self._archiving_derogations and "ARCHIVING" in p.operations)
 
+    # Both conditions take ``self.bases(p)``, which every caller already holds.
+    def portability_applies(self, p: DataProcessing, bases: set[str]) -> bool:
+        """Art. 20(1): consent or a contract, over data the subject provided."""
+        return bool(bases & {"BY_CONSENT", "PERFORMANCE_OF_CONTRACT"}) and any(
+            pd.collectedDirectlyFromSubject for pd in self.graph.resolve(p.personalData))
+
+    def objection_applies(self, p: DataProcessing, bases: set[str]) -> bool:
+        """Art. 21: consent, a legitimate or public interest, or profiling."""
+        return bool(bases & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"}) \
+            or "PROFILING" in p.operations
+
     def rights_applicable(self, p: DataProcessing) -> set[str]:
         rights = set(ALWAYS_APPLICABLE_RIGHTS)
         bases = self.bases(p)
-        if bases & {"BY_CONSENT", "PERFORMANCE_OF_CONTRACT"} and any(
-                pd.collectedDirectlyFromSubject for pd in self.personal_data(p)):
+        if self.portability_applies(p, bases):
             rights.add("RIGHT_TO_PORTABILITY")
-        if bases & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"} \
-                or "PROFILING" in p.operations:
+        if self.objection_applies(p, bases):
             rights.add("RIGHT_TO_OBJECT")
         if p.automatedDecisionMaking:
             rights.add("RIGHT_TO_NOT_BE_PART_OF_A_DECISION")
@@ -370,10 +332,16 @@ class EvalContext:
                   and not self.right_derogated(p, r)}
         return rights
 
-    def rights_exempt(self, p: DataProcessing) -> bool:
-        """Art. 11: all data non-identifying lifts the subject-right duties."""
-        data = self.personal_data(p)
-        return bool(data) and not any(pd.identifiesSubject for pd in data)
+
+def _by_id(nodes: Iterable[Node]) -> list[Node]:
+    """``nodes`` without repeats, in id order."""
+    seen = {node.id: node for node in nodes}
+    return [seen[i] for i in sorted(seen)]
+
+
+def _under_eu_law(country: Country | None) -> bool:
+    """A member state, or a country where EU law applies."""
+    return country is not None and (country.isEUMemberState or country.EULawApplies)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +440,13 @@ def _c1(ctx: EvalContext) -> tuple[str, list[Finding]]:
     if not selected:
         return NOT_APPLICABLE, [Finding("", "no processing involves personal data")]
 
-    def eu_country(country_id: str) -> bool:
-        node = ctx.graph.get(country_id)
-        return node is not None and (node.isEUMemberState or node.EULawApplies)
-
     territorial = False
     for p in selected:
         if any(ctx.euro_link(a) for a in ctx.actors(p)):
             territorial = True
             break
         if p.type in ("OFFERING_GOODS_OR_SERVICES", "EU_BEHAVIOUR_MONITORING_OR_PROFILING"):
-            if any(eu_country(s.residence) for s in ctx.subjects(p)):
+            if any(_under_eu_law(ctx.graph.get(s.residence)) for s in ctx.subjects(p)):
                 territorial = True
                 break
     if not territorial:
@@ -523,7 +487,7 @@ def _c3(ctx: EvalContext) -> tuple[str, list[Finding]]:
     triggered = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        for purpose in ctx.purposes(p):
+        for purpose in ctx.graph.resolve(p.purposes):
             if purpose.legalBasis == "LEGAL_OBLIGATION":
                 triggered.append(purpose)
                 if not purpose.obligationSource:
@@ -552,7 +516,7 @@ def _c4(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        consent = ctx.consent_of(p)
+        consent = ctx.graph.get(p.consent)
         if consent is None and "BY_CONSENT" in ctx.bases(p):
             instances.append(p)
             failures.append(Finding(
@@ -573,7 +537,7 @@ def _c5(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope() if ctx.consent_based(p)]
     failures: list[Finding] = []
     for p in instances:
-        consent = ctx.consent_of(p)
+        consent = ctx.graph.get(p.consent)
         if consent is None:
             continue  # absence of the agreement itself is C4's finding
         giver = ctx.graph.get(consent.givenBy)
@@ -628,7 +592,7 @@ def _c6(ctx: EvalContext) -> tuple[str, list[Finding]]:
                 failures.append(Finding(
                     p.id, "the prohibition cannot be lifted by consent here"))
                 continue
-            consent = ctx.consent_of(p)
+            consent = ctx.graph.get(p.consent)
             if consent is None or not consent.explicit:
                 failures.append(Finding(
                     p.id, "special-category processing lacks explicit consent"))
@@ -643,7 +607,7 @@ def _c7(ctx: EvalContext) -> tuple[str, list[Finding]]:
         if "JUDICIAL" not in ctx.categories(p):
             continue
         instances.append(p)
-        official = any(a.kind == "OFFICIAL" for a in ctx.controllers(p))
+        official = any(a.kind == "OFFICIAL" for a in ctx.graph.resolve(p.controllers))
         authorized = "LEGAL_OBLIGATION" in ctx.bases(p)
         if not (official or authorized):
             failures.append(Finding(
@@ -666,7 +630,7 @@ def _c8(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope() if p.rightsExempt]
     failures: list[Finding] = []
     for p in instances:
-        if any(pd.identifiesSubject for pd in ctx.personal_data(p)):
+        if ctx.identifiable(p):
             failures.append(Finding(
                 p.id, "claims the non-identifiability exemption from subject "
                       "rights while its data identifies subjects"))
@@ -680,11 +644,10 @@ def _c8(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _rights_scope(ctx: EvalContext, rule_id: str,
                   right: str | None = None) -> list[DataProcessing]:
     """In-scope processings whose subjects hold rights under ``rule_id``:
-    identifying, not exempt, not adapted out, and ``right`` not derogated."""
+    identifying, not adapted out, and ``right`` not derogated."""
     return [
         p for p in ctx.scope()
         if ctx.identifiable(p)
-        and not ctx.rights_exempt(p)
         and not ctx.adapted_out(rule_id, p)
         and not (right and ctx.right_derogated(p, right))
     ]
@@ -696,13 +659,13 @@ def _c9(ctx: EvalContext) -> tuple[str, list[Finding]]:
     scope = _rights_scope(ctx, "C9")
     failures: list[Finding] = []
     for p in scope:
-        enabled = {s.right for s in ctx.supports(p) if s.enabled}
+        enabled = {s.right for s in ctx.graph.resolve(p.supportedRights) if s.enabled}
         for right in sorted(ctx.rights_applicable(p)):
             if right not in enabled:
                 failures.append(Finding(
                     p.id, f"applicable right {right} is not supported"))
-        for support in ctx.supports(p):
-            for request in ctx.requests(support):
+        for support in ctx.graph.resolve(p.supportedRights):
+            for request in ctx.graph.resolve(support.requests):
                 failures.extend(_request_findings(ctx, support, request))
     return _status(scope, failures)
 
@@ -710,8 +673,8 @@ def _c9(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _request_findings(ctx: EvalContext, support: RightSupport,
                       request: RightRequest) -> list[Finding]:
     out: list[Finding] = []
-    received = ctx.minutes(request.receivedAt)
-    responded = ctx.minutes(request.respondedAt)
+    received = ctx.graph.minutes(request.receivedAt)
+    responded = ctx.graph.minutes(request.respondedAt)
     if received is not None:
         deadline = received + timebase.REQUEST_RESPONSE_MINUTES
         if request.extensionNotified:
@@ -776,7 +739,7 @@ def _notice_rule(ctx: EvalContext, rule_id: str, direct: bool,
     for p in ctx.scope():
         if ctx.adapted_out(rule_id, p):
             continue
-        collected = [pd.collectedDirectlyFromSubject for pd in ctx.personal_data(p)]
+        collected = [pd.collectedDirectlyFromSubject for pd in ctx.graph.resolve(p.personalData)]
         if direct and not any(collected):
             continue
         if not direct and all(collected):
@@ -816,7 +779,7 @@ def _c12(ctx: EvalContext) -> tuple[str, list[Finding]]:
             "RIGHT_TO_LODGE_COMPLAINT",
             "RIGHT_TO_RECEIVE_COPY",
         }
-        if any(not pd.collectedDirectlyFromSubject for pd in ctx.personal_data(p)):
+        if any(not pd.collectedDirectlyFromSubject for pd in ctx.graph.resolve(p.personalData)):
             required.add("DATA_SOURCE")
         if p.automatedDecisionMaking:
             required.add("AUTOMATED_DECISION")
@@ -832,8 +795,8 @@ def _c12(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _requests(ctx: EvalContext, p: DataProcessing, right: str,
               granted: bool) -> list[RightRequest]:
     """The granted (or denied) requests under ``p``'s supports of ``right``."""
-    return [request for support in ctx.supports(p) if support.right == right
-            for request in ctx.requests(support) if request.granted == granted]
+    return [request for support in ctx.graph.resolve(p.supportedRights) if support.right == right
+            for request in ctx.graph.resolve(support.requests) if request.granted == granted]
 
 
 def _notify_recipients(ctx: EvalContext, p: DataProcessing, about: str,
@@ -867,7 +830,7 @@ def _c14(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     allowed = enums.ENUMERATIONS[enums.DENIAL_ERASURE_REASON]
-    for p in _rights_scope(ctx, "C14", "RIGHT_TO_ERASURE"):
+    for p in _rights_scope(ctx, "C14"):
         for request in _requests(ctx, p, "RIGHT_TO_ERASURE", False):
             instances.append(request)
             if request.denialReason not in allowed:
@@ -903,16 +866,14 @@ def _c16(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     for p in _rights_scope(ctx, "C16", "RIGHT_TO_PORTABILITY"):
         bases = ctx.bases(p)
-        for support in ctx.supports(p):
+        for support in ctx.graph.resolve(p.supportedRights):
             if support.right != "RIGHT_TO_PORTABILITY":
                 continue
-            for request in ctx.requests(support):
+            for request in ctx.graph.resolve(support.requests):
                 instances.append(request)
                 preconditions = (
                     "PUBLIC_INTEREST" not in bases
-                    and bases & {"BY_CONSENT", "PERFORMANCE_OF_CONTRACT"}
-                    and any(pd.collectedDirectlyFromSubject
-                            for pd in ctx.personal_data(p))
+                    and ctx.portability_applies(p, bases)
                     and request.identityVerified
                 )
                 if preconditions and not request.granted:
@@ -932,11 +893,7 @@ def _c17(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in _rights_scope(ctx, "C17", "RIGHT_TO_OBJECT"):
-        applicable = (
-            ctx.bases(p) & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"}
-            or "PROFILING" in p.operations
-        )
-        if not applicable:
+        if not ctx.objection_applies(p, ctx.bases(p)):
             continue
         for request in _requests(ctx, p, "RIGHT_TO_OBJECT", False):
             instances.append(request)
@@ -953,7 +910,7 @@ def _c18(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in _rights_scope(ctx, "C18") if p.automatedDecisionMaking]
     failures: list[Finding] = []
     for p in instances:
-        consent = ctx.consent_of(p)
+        consent = ctx.graph.get(p.consent)
         explicit_consent = consent is not None and consent.explicit
         special = bool(ctx.categories(p) & enums.SPECIAL_DATA_CATEGORIES)
         if special:
@@ -964,7 +921,7 @@ def _c18(ctx: EvalContext) -> tuple[str, list[Finding]]:
             continue
         bases = ctx.bases(p)
         supported = any(s.right == "RIGHT_TO_NOT_BE_PART_OF_A_DECISION" and s.enabled
-                        for s in ctx.supports(p))
+                        for s in ctx.graph.resolve(p.supportedRights))
         allowed = (
             supported
             or "PERFORMANCE_OF_CONTRACT" in bases
@@ -1009,7 +966,7 @@ def _c20(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        for actor in ctx.controllers(p):
+        for actor in ctx.graph.resolve(p.controllers):
             if actor.cls != "Joint_Controllers":
                 continue
             instances.append(actor)
@@ -1026,7 +983,7 @@ def _c20(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @rule("C21", (27,), "non-EU controllers and processors designate an EU representative")
 def _c21(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    duties: dict[str, Actor] = {}
+    duties: list[Actor] = []
     for p in ctx.scope():
         special = bool(ctx.categories(p) & enums.SPECIAL_DATA_CATEGORIES)
         if not (p.largeScale or special or p.systematicMonitoring):
@@ -1036,8 +993,8 @@ def _c21(ctx: EvalContext) -> tuple[str, list[Finding]]:
                 continue
             if actor.kind in PUBLIC_AUTHORITY_KINDS:
                 continue
-            duties[actor.id] = actor
-    instances = [duties[i] for i in sorted(duties)]
+            duties.append(actor)
+    instances = _by_id(duties)
     failures = [
         Finding(actor.id, "operates outside the EU without a representative "
                           "established in a member state")
@@ -1059,7 +1016,7 @@ def _c22(ctx: EvalContext) -> tuple[str, list[Finding]]:
     for p in ctx.scope():
         if ctx.adapted_out("C22", p):
             continue
-        processors = ctx.processors(p)
+        processors = ctx.graph.resolve(p.processors)
         if not processors:
             continue
         instances.extend(processors)
@@ -1084,8 +1041,8 @@ def _c23(ctx: EvalContext) -> tuple[str, list[Finding]]:
     failures: list[Finding] = []
     notes: list[Finding] = []
     for p in ctx.scope():
-        roles = [(a, "controller") for a in ctx.controllers(p)]
-        roles += [(a, "processor") for a in ctx.processors(p)]
+        roles = [(a, "controller") for a in ctx.graph.resolve(p.controllers)]
+        roles += [(a, "processor") for a in ctx.graph.resolve(p.processors)]
         records = ctx.graph.resolve(p.records)
         for actor, role in roles:
             instances.append(actor)
@@ -1116,13 +1073,12 @@ def _c23(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 @rule("C24", (31,), "cooperation with the supervisory authority on request")
 def _c24(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    actors: dict[str, Actor] = {}
+    actors: list[Actor] = []
     for p in ctx.scope():
         for actor in ctx.actors(p):
-            actors[actor.id] = actor
-            for rep in ctx.representatives(actor):
-                actors[rep.id] = rep
-    instances = [actors[i] for i in sorted(actors)]
+            actors.append(actor)
+            actors += ctx.representatives(actor)
+    instances = _by_id(actors)
     failures = [
         Finding(a.id, "refuses cooperation with the supervisory authority")
         for a in instances if not a.cooperatesWithSA
@@ -1155,9 +1111,9 @@ def _c26(ctx: EvalContext) -> tuple[str, list[Finding]]:
     for breach in breaches:
         if not breach.recorded:
             failures.append(Finding(breach.id, "breach is not recorded"))
-        detected = ctx.minutes(breach.detectedAt)
+        detected = ctx.graph.minutes(breach.detectedAt)
         if breach.risk in ("MEDIUM", "HIGH") and detected is not None:
-            notified = ctx.minutes(breach.saNotifiedAt)
+            notified = ctx.graph.minutes(breach.saNotifiedAt)
             deadline = detected + timebase.BREACH_NOTIFICATION_MINUTES
             if notified is None:
                 if ctx.check_minutes > deadline and not breach.delayJustification:
@@ -1226,8 +1182,8 @@ def _c28(ctx: EvalContext) -> tuple[str, list[Finding]]:
             instances.append(dpia)
         if consultation is None:
             continue
-        requested = ctx.minutes(consultation.requestedAt)
-        advice = ctx.minutes(consultation.adviceAt)
+        requested = ctx.graph.minutes(consultation.requestedAt)
+        advice = ctx.graph.minutes(consultation.adviceAt)
         if requested is None:
             continue
         deadline = requested + timebase.CONSULTATION_ADVICE_MINUTES
@@ -1247,7 +1203,7 @@ def _c28(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @rule("C29", (37, 38), "a data protection officer is designated when mandated",
       hooks=("V_bodiesMustDesignateDPO",))
 def _c29(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    duties: dict[str, Actor] = {}
+    duties: list[Actor] = []
     for p in ctx.scope():
         special_or_criminal = bool(
             ctx.categories(p) & (enums.SPECIAL_DATA_CATEGORIES | {"JUDICIAL"}))
@@ -1260,8 +1216,8 @@ def _c29(ctx: EvalContext) -> tuple[str, list[Finding]]:
             if not must:
                 must = ctx.hook("V_bodiesMustDesignateDPO", actor)
             if must:
-                duties[actor.id] = actor
-    instances = [duties[i] for i in sorted(duties)]
+                duties.append(actor)
+    instances = _by_id(duties)
     failures = [
         Finding(actor.id, "no data protection officer is designated")
         for actor in instances if not ctx.dpo_designated_for(actor.id)
@@ -1283,7 +1239,7 @@ def _c30(ctx: EvalContext) -> tuple[str, list[Finding]]:
         if not cert.bodyAccredited:
             failures.append(Finding(
                 cert.id, "issuing body is not accredited"))
-        issued = ctx.minutes(cert.issuedAt)
+        issued = ctx.graph.minutes(cert.issuedAt)
         if issued is not None and \
                 ctx.check_minutes - issued > timebase.CERTIFICATION_VALIDITY_MINUTES:
             failures.append(Finding(
@@ -1300,35 +1256,31 @@ def _transfer_pairs(ctx: EvalContext) -> list[tuple[DataProcessing, DataTransfer
             for transfer in ctx.graph.resolve(p.transfers)]
 
 
+# Transfer bases valid only with a flag set: (the flag, the finding without it).
+_BASIS_FLAGS = {
+    "BCR": ("approved", "binding corporate rules are not approved"),
+    "StandardContractualClauses": ("approved", "standard contractual clauses are not approved"),
+    "AdministrativeArrangement": ("authorized", "administrative arrangement lacks authorization"),
+    "PublicBodyInstrument": ("authorized", "public-body instrument lacks authorization"),
+}
+
+
 def _transfer_findings(ctx: EvalContext, p: DataProcessing,
                        transfer: DataTransfer) -> list[Finding]:
     basis = transfer.basis
     out: list[Finding] = []
-    if basis.kind == "IntraEU":
-        to = ctx.graph.get(transfer.toCountry)
-        if to is None or not (to.isEUMemberState or to.EULawApplies):
+    if basis.kind in _BASIS_FLAGS:
+        flag, message = _BASIS_FLAGS[basis.kind]
+        if not getattr(basis, flag):
+            out.append(Finding(transfer.id, message))
+    elif basis.kind == "IntraEU":
+        if not _under_eu_law(ctx.graph.get(transfer.toCountry)):
             out.append(Finding(
                 transfer.id, "declared intra-EU but the destination is outside "
                              "EU law"))
-    elif basis.kind == "BCR":
-        if not basis.approved:
-            out.append(Finding(
-                transfer.id, "binding corporate rules are not approved"))
-    elif basis.kind == "StandardContractualClauses":
-        if not basis.approved:
-            out.append(Finding(
-                transfer.id, "standard contractual clauses are not approved"))
-    elif basis.kind == "AdministrativeArrangement":
-        if not basis.authorized:
-            out.append(Finding(
-                transfer.id, "administrative arrangement lacks authorization"))
-    elif basis.kind == "PublicBodyInstrument":
-        if not basis.authorized:
-            out.append(Finding(
-                transfer.id, "public-body instrument lacks authorization"))
     elif basis.kind == "Derogation":
         if basis.derogation in ("SUPPORTED_BY_CONSENT", "NECESSARY_FOR_CONTRACT"):
-            if any(a.kind in PUBLIC_AUTHORITY_KINDS for a in ctx.controllers(p)):
+            if any(a.kind in PUBLIC_AUTHORITY_KINDS for a in ctx.graph.resolve(p.controllers)):
                 out.append(Finding(
                     transfer.id, f"derogation {basis.derogation} is not open to "
                                  "public authorities"))
@@ -1509,7 +1461,7 @@ def _v2(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        consent = ctx.consent_of(p)
+        consent = ctx.graph.get(p.consent)
         if consent is None:
             continue
         giver = ctx.graph.get(consent.givenBy)
@@ -1558,7 +1510,7 @@ def _v7(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in ctx.scope():
-        for processor in ctx.processors(p):
+        for processor in ctx.graph.resolve(p.processors):
             instances.append(processor)
             if not processor.instructions and not ctx.hook(
                     "V_processWithoutControllerInstructions", processor, p):
@@ -1742,12 +1694,8 @@ def _v19(ctx: EvalContext) -> tuple[str, list[Finding]]:
 @variation_rule("V20", (91,), "church data-protection regimes aligned with the "
                               "regulation")
 def _v20(ctx: EvalContext) -> tuple[str, list[Finding]]:
-    churches: dict[str, Actor] = {}
-    for p in ctx.scope():
-        for actor in ctx.actors(p):
-            if actor.kind == "CHURCH_OR_RELIGIOUS_ORGANIZATION":
-                churches[actor.id] = actor
-    instances = [churches[i] for i in sorted(churches)]
+    instances = _by_id(actor for p in ctx.scope() for actor in ctx.actors(p)
+                       if actor.kind == "CHURCH_OR_RELIGIOUS_ORGANIZATION")
     failures: list[Finding] = []
     for actor in instances:
         aligned = any(n.attrs.get("alignedWithGDPR")
@@ -1799,6 +1747,8 @@ def _run_gated(specs: Sequence[RuleSpec], ctx: EvalContext) -> list[RuleVerdict]
 
 def _context(graph: InstanceGraph, profile, check_date: str | None,
              strict: bool) -> EvalContext:
+    if profile is not None and not profile.finalized:
+        raise ProfileNotFinalizedError("profile must be finalized before evaluation")
     minutes = None if check_date is None else timebase.parse_minutes(check_date)
     return EvalContext(graph, profile, minutes, strict)
 
@@ -1850,9 +1800,6 @@ def evaluate_all(graph: InstanceGraph, profile,
     """One verdict per active rule, in catalog order, deterministically."""
     if profile is None:
         raise ProfileNotFinalizedError("a finalized profile is required")
-    if not profile.finalized:
-        raise ProfileNotFinalizedError("profile must be finalized before evaluation")
-
     ctx = _context(graph, profile, check_date, strict)
     # profile.rules() is in catalog order, so the C1 gate runs first.
     verdicts = _run_gated(profile.rules(), ctx)

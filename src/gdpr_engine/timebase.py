@@ -77,7 +77,5 @@ def parse_minutes(value: str) -> int:
 
 
 def max_fine_cents(floor_cents: int, percent: int, turnover_cents: int) -> int:
-    """Greater of the fixed ceiling and ``percent`` of worldwide turnover."""
-    if turnover_cents < 0:
-        raise ValueError("turnover must be non-negative")
+    """Greater of the fixed ceiling and ``percent`` of a non-negative turnover."""
     return max(floor_cents, (turnover_cents * percent) // 100)

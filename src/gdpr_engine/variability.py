@@ -28,7 +28,6 @@ from .rules import (
     RULE_CATALOG,
     RuleSpec,
     VARIATION_RULE_SPECS,
-    rule_sort_key,
 )
 
 HOOK = "HookImplementation"
@@ -36,8 +35,6 @@ ADD = "RuleAddition"
 ADAPT = "RuleAdaptation"
 REPLACE = "RuleReplacement"
 ENUM = "EnumExtension"
-
-RESOLUTION_KINDS = (HOOK, ADD, ADAPT, REPLACE, ENUM)
 
 V5_ADAPTABLE_RULES = ("C2",) + tuple(f"C{i}" for i in range(9, 23))
 
@@ -251,7 +248,6 @@ class VariationPoint:
     id: str
     sourceArticle: int
     summary: str
-    kinds: frozenset[str]
     params: Mapping[str, Param]
     hooks: tuple[str, ...] = ()           # overridable default hooks
     hookTargets: tuple[str, ...] = ()     # rules consuming those hooks
@@ -283,6 +279,14 @@ class VariationPoint:
             AuditEntry(self.id, "glossary",
                        f"added terminology introduced by {self.id} ({self.summary})")))
 
+    @property
+    def kinds(self) -> frozenset[str]:
+        """Kinds read off the declared effects; a replacement's added rules are part of it."""
+        return frozenset(kind for kind, declared in (
+            (HOOK, self.hooks), (ADD, self.addsRules and not self.replacesRules),
+            (ADAPT, self.adaptsRules), (REPLACE, self.replacesRules),
+            (ENUM, self.enumExtensions)) if declared)
+
     def resolve(self, params: object) -> Resolution:
         """A resolution of this point whose params are checked against its
         table and frozen; ``None`` stands for no params."""
@@ -300,31 +304,30 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
     VariationPoint(
         "V1", 8, f"national minimum consent age between {MIN_CHILD_AGE} and "
                  f"{DEFAULT_CHILD_AGE_LIMIT}",
-        frozenset({HOOK, ADD}), {
+        {
             "thresholds": Param(
                 _ages, {}, message="thresholds must map country codes to ages"),
             "default": Param(_integer)},
         hooks=("V_getMinimumAgeForDS",), hookTargets=("C5",), addsRules=("V1",)),
     VariationPoint(
         "V2", 8, "documents accepted as proof of parental responsibility",
-        frozenset({HOOK, ADD}),
         {"acceptedDocumentKinds": Param(_names, (), nonempty=True)},
         hooks=("V_checkParentDocuments",), hookTargets=("C5",), addsRules=("V2",)),
     VariationPoint(
         "V3", 9, "whether consent can lift the special-category prohibition",
-        frozenset({HOOK}), {"canBeLifted": Param(_flag, True)},
+        {"canBeLifted": Param(_flag, True)},
         hooks=("V_prohibitionCanBeLiftedByConsent",), hookTargets=("C6",)),
     VariationPoint(
         "V4", 9, "further national conditions on genetic, biometric, and "
                  "health data",
-        frozenset({ADD}), {
+        {
             "prohibited": Param(_flag, False),
             "requiredTechnicalMeasures": Param(_names, (), enums.TECHNICAL_MEASURE_TYPE),
             "restrictedCategories": Param(_names, allowed=_V4_CATEGORIES, nonempty=True)},
         addsRules=("V4",), parameterHooks=("V_verifyFurtherConditionsAndLimit",)),
     VariationPoint(
         "V5", 23, "legislative restriction of the principle and right rules",
-        frozenset({ADAPT}), {"adaptations": Param(
+        {"adaptations": Param(
             _table_map, None, frozenset(V5_ADAPTABLE_RULES), table={
                 "removedRights": Param(_names, (), enums.RIGHT_KIND),
                 "exemptProcessingTypes": Param(_names, (), enums.PROCESSING_CONTEXT)},
@@ -335,41 +338,40 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
     VariationPoint(
         "V6", 29, "processing without controller instructions where national "
                   "law requires it",
-        frozenset({HOOK}), _INSTRUCTIONS,
+        _INSTRUCTIONS,
         hooks=("V_processWithoutControllerInstructions",), hookTargets=("C22",)),
     VariationPoint(
         "V7", 32, "persons under authority bound to controller instructions",
-        frozenset({HOOK, ADD}), _INSTRUCTIONS,
+        _INSTRUCTIONS,
         hooks=("V_processWithoutControllerInstructions",), addsRules=("V7",)),
     VariationPoint(
         "V8", 36, "reconciliation of data protection with freedom of expression",
-        frozenset({ADD, ENUM}), {"requiredForProcessingTypes": _PROCESSING_TYPES},
+        {"requiredForProcessingTypes": _PROCESSING_TYPES},
         addsRules=("V8",), parameterHooks=("V_ReconcileByLaw",),
         enumExtensions=((enums.DPIA_INFORMATION_TYPE, "RECONCILIATION_ASSESSMENT"),)),
     VariationPoint(
         "V9", 37, "bodies that must designate a data protection officer",
-        frozenset({HOOK}),
         {"actorKinds": Param(_names, (), enums.ACTOR_TYPE, nonempty=True)},
         hooks=("V_bodiesMustDesignateDPO",), hookTargets=("C29",)),
     VariationPoint(
         "V10", 49, "national limits on transfers of specific data categories",
-        frozenset({ADD}), {"limits": Param(_tables, None, table={
+        {"limits": Param(_tables, None, table={
             "categories": Param(_names, (), enums.DATA_CATEGORY),
             "toCountries": Param(_names, ())},
             item_message="each limit must be an object")},
         addsRules=("V10",), parameterHooks=("V_verifyTransferLimits",)),
     VariationPoint(
         "V11", 80, "representative bodies may lodge complaints",
-        frozenset({ADD}), {}, addsRules=("V11",)),
+        {}, addsRules=("V11",)),
     VariationPoint(
         "V12", 83, "national fine regime for public authorities and bodies",
-        frozenset({REPLACE}), {
+        {
             "finesApplyToPublicBodies": Param(_flag, True),
             "publicBodyFineCapEUR": Param(_count)},
         replacesRules=("C35",), addsRules=("V12_1", "V12_2")),
     VariationPoint(
         "V13", 84, "additional national penalties for infringements",
-        frozenset({ADD}), {"penalties": Param(_tables, None, table={
+        {"penalties": Param(_tables, None, table={
             "infringementKind": Param(_choice, None, enums.INFRINGEMENT_TYPE,
                                       message="{value!r} is not an infringement kind"),
             "penaltyEUR": Param(_count, None)},
@@ -377,36 +379,35 @@ VARIATION_POINTS: dict[str, VariationPoint] = {vp.id: vp for vp in (
         addsRules=("V13",)),
     VariationPoint(
         "V14", 85, "prior authorization for public-interest processing",
-        frozenset({ADD}), {"processingTypes": _PROCESSING_TYPES}, addsRules=("V14",)),
+        {"processingTypes": _PROCESSING_TYPES}, addsRules=("V14",)),
     VariationPoint(
         "V15", 87, "conditions for processing national identification numbers",
-        frozenset({ADD, ENUM}), {
+        {
             "allowed": Param(_flag, True),
             "requiredTechnicalMeasures": Param(_names, (), enums.TECHNICAL_MEASURE_TYPE)},
         addsRules=("V15",), parameterHooks=("V_checkedIDProcessing",),
         enumExtensions=((enums.DATA_CATEGORY, "IDENTIFICATION"),)),
     VariationPoint(
         "V16", 88, "employment-context assessment recorded in impact assessments",
-        frozenset({ENUM}), {},
+        {},
         enumExtensions=((enums.DPIA_INFORMATION_TYPE, "EMPLOYMENT_ASSESSMENT"),)),
     VariationPoint(
         "V17", 89, "right derogations for research and statistics",
-        frozenset({ADD}), {
+        {
             "derogatedRights": Param(_names, (), V17_RIGHTS, nonempty=True),
             "processingTypes": _PROCESSING_TYPES},
         addsRules=("V17",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V18", 89, "right derogations for public-interest archiving",
-        frozenset({ADD}),
         {"derogatedRights": Param(_names, (), V18_RIGHTS, nonempty=True)},
         addsRules=("V18",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V19", 90, "supervisory powers over secrecy-bound controllers",
-        frozenset({ADD}), {"protectedCategories": Param(_names, ())},
+        {"protectedCategories": Param(_names, ())},
         addsRules=("V19",), parameterHooks=("V_checkDerrogationsFromRights",)),
     VariationPoint(
         "V20", 91, "church and religious data-protection regimes",
-        frozenset({ADD, ENUM}), {}, addsRules=("V20",),
+        {}, addsRules=("V20",),
         enumExtensions=((enums.ACTOR_TYPE, "CHURCH_OR_RELIGIOUS_ORGANIZATION"),)),
 )}
 
@@ -418,9 +419,9 @@ for _vp in VARIATION_POINTS.values():
         _ENUM_LITERALS[_enum_name] |= {_literal}
 del _vp, _enum_name, _literal
 
-# Catalog order of every rule a profile can hold, as a rank looked up per sort.
+# Registration order of every rule a profile can hold, as a rank per sort.
 _RULE_RANK = {rule_id: rank for rank, rule_id in enumerate(
-    sorted((*RULE_CATALOG, *VARIATION_RULE_SPECS), key=rule_sort_key))}
+    (*RULE_CATALOG, *VARIATION_RULE_SPECS))}
 _DEFAULT_HOOKS = frozenset(DEFAULT_HOOKS)
 
 

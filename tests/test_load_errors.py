@@ -425,6 +425,17 @@ UNPARSABLE_DOCUMENTS = {
     "number past the double range": (
         b'{"objects": [], "n": -1e999999}',
         "SYNTAX: a number is too large for a finite double"),
+    "byte that starts no UTF-8 sequence": (
+        b"\xff", "SYNTAX: document is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+    "surrogate encoded as UTF-8": (
+        '{"objects": ["\ud800"]}'.encode("utf-8", "surrogatepass"),
+        "SYNTAX: document is not UTF-8: 'utf-8' codec can't decode byte 0xed in "
+        "position 14: invalid continuation byte"),
+    "truncated multibyte tail": (
+        b'{"objects": []}\xe2\x82',
+        "SYNTAX: document is not UTF-8: 'utf-8' codec can't decode bytes in "
+        "position 15-16: unexpected end of data"),
 }
 
 

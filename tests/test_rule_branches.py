@@ -22,10 +22,12 @@ from gdpr_engine.rules import (
     PASS,
     ProfileNotFinalizedError,
     check_applicability,
+    check_child_consent,
+    check_transfer_legality,
     evaluate_all,
     evaluate_rule,
 )
-from gdpr_engine.variability import Resolution, build_profile
+from gdpr_engine.variability import V17_RIGHTS, V18_RIGHTS, Resolution, build_profile
 
 LATE = "2024-06-01T00:00:00Z"  # long after every deadline the fixture opens
 
@@ -142,6 +144,11 @@ ROWS = (
     Row("c13-no-recipients-nothing-to-notify",
         _both(_refs("p1", recipients=[]), lambda d: drop(d, "note_rect")),
         "C13", PASS),
+    Row("c14-erasure-not-derogable",
+        _both(RESEARCH, ARCHIVING, _attrs("req_erase", denialReason="OTHER")), "C14", FAIL,
+        (("req_erase", "erasure denied without an admitted ground"),),
+        resolutions=(("V17", {"derogatedRights": sorted(V17_RIGHTS)}),
+                     ("V18", {"derogatedRights": sorted(V18_RIGHTS)}))),
     Row("c15-restriction-derogated-for-archiving",
         _both(ARCHIVING, _request("req_restrict", "rs_restrict", granted=False)),
         "C15", NOT_APPLICABLE,
@@ -295,3 +302,20 @@ def test_row_names_are_distinct():
 def test_evaluate_all_without_a_profile_is_refused(compliant_graph):
     with pytest.raises(ProfileNotFinalizedError, match="a finalized profile is required"):
         evaluate_all(compliant_graph, None)
+
+
+UNFINALIZED_CALLS = {
+    "evaluate_rule": lambda graph, profile: evaluate_rule("C5", graph, profile),
+    "check_applicability": check_applicability,
+    "check_child_consent": check_child_consent,
+    "check_transfer_legality": check_transfer_legality,
+}
+
+
+@pytest.mark.parametrize("call", list(UNFINALIZED_CALLS.values()), ids=list(UNFINALIZED_CALLS))
+def test_single_rule_evaluation_refuses_an_unfinalized_profile(compliant_graph, call):
+    # finalize() would reject this profile: 5 is below 13, the lowest national age.
+    profile = build_profile([Resolution("V1", {"thresholds": {"AT": 5}})], finalize=False)
+    with pytest.raises(ProfileNotFinalizedError,
+                       match="^profile must be finalized before evaluation$"):
+        call(compliant_graph, profile)

@@ -18,7 +18,7 @@ from gdpr_engine import (
     evaluate_rule,
     load_instance,
 )
-from gdpr_engine.model import Actor, GenericNode
+from gdpr_engine.model import Actor, GenericNode, TurnoverContext
 from gdpr_engine.rules import (
     EvalContext,
     FAIL,
@@ -238,6 +238,15 @@ def test_fine_unknown_kind_is_a_classification_error():
         compute_max_fine("OTHER", 0)
     with pytest.raises(FineClassificationError):
         compute_max_fine("NOT_A_KIND", 0)
+
+
+@pytest.mark.parametrize("kind", ["PRINCIPLE_VIOLATION", "NOT_A_KIND"])
+def test_fine_negative_turnover_is_refused_before_the_kind_is_classified(kind):
+    context = TurnoverContext(id="tc", cls="Turnover_Context", worldwideAnnualTurnoverEUR=-1)
+    for turnover in (-1 * EUR, context):
+        with pytest.raises(ValueError, match="^turnover must be non-negative$") as excinfo:
+            compute_max_fine(kind, turnover)
+        assert type(excinfo.value) is ValueError
 
 
 def test_fine_accepts_the_domain_objects():
