@@ -551,7 +551,11 @@ class InstanceGraph:
         return self._referrers.get((target_id, class_name, role), ())
 
     def resolve(self, ids: Sequence[str]) -> list[Node]:
-        return [self._objects[i] for i in ids if i in self._objects]
+        """The objects of ``ids`` in order, repeats kept, unknown ids
+        skipped. ``filter(None, ...)`` drops only the None that ``get``
+        gives an unknown id: no node class defines ``__bool__`` or
+        ``__len__``, so every node is true."""
+        return list(filter(None, map(self._objects.get, ids)))
 
     def minutes(self, raw: str | None) -> int | None:
         """The minutes of ``raw``, a timestamp some node of the graph holds;

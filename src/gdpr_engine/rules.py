@@ -17,8 +17,11 @@ preserves catalog order.
 
 from __future__ import annotations
 
+import functools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import enums, timebase
@@ -180,7 +183,6 @@ class RuleSpec:
     articles: tuple[int, ...]
     summary: str
     predicate: Callable[["EvalContext"], tuple[str, list[Finding]]]
-    hooksUsed: frozenset[str] = frozenset()
     origin: str = "generic"  # "generic" | "variation"
 
 
@@ -188,13 +190,35 @@ class RuleSpec:
 # Evaluation context
 # ---------------------------------------------------------------------------
 
+_MISSING = object()
+
+
+def _memoized(compute):
+    """``compute(ctx, p, *args)``, computed once per evaluation for each
+    ``p.id`` and ``args``. The key is the id because a frozen node hashes
+    every field. ``compute`` must return an immutable value and must not
+    consult a hook, so that a stored fact is the fact and strict mode sees
+    the same hook calls."""
+    @functools.wraps(compute)
+    def read(ctx, p, *args):
+        memo = ctx._memos[compute]
+        key = (p.id, *args) if args else p.id
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = compute(ctx, p, *args)
+        return value
+    return read
+
+
 class EvalContext:
     """Per-evaluation view over (graph, profile, check date).
 
     Tracks which variation hooks were answered by their built-in default so
     strict mode can demote the affected verdicts to Unknown. The graph's
     references must resolve; a graph with any ``ref_violations`` raises
-    ``ValueError`` naming the first.
+    ``ValueError`` naming the first. Each per-processing fact the rules
+    share is computed on first read and stored, as a frozenset, tuple or
+    read-only mapping, for the life of the context.
     """
 
     def __init__(self, graph: InstanceGraph, profile=None,
@@ -210,6 +234,7 @@ class EvalContext:
         self.strict = strict
         self.defaulted_hooks: set[str] = set()
         self._scope: list[DataProcessing] | None = None
+        self._memos: defaultdict[Callable, dict] = defaultdict(dict)
         # The profile reads that per-processing checks repeat, read once.
         self._adaptations = {} if profile is None else profile.adaptations
         research = self.resolution_params("V17")
@@ -251,33 +276,54 @@ class EvalContext:
             ]
         return self._scope
 
-    def bases(self, p: DataProcessing) -> set[str]:
-        return {pu.legalBasis for pu in self.graph.resolve(p.purposes)}
+    # -- per-processing facts, each computed once per evaluation ------------
 
-    def categories(self, p: DataProcessing) -> set[str]:
-        out: set[str] = set()
-        for pd in self.graph.resolve(p.personalData):
-            out.update(pd.categories)
-        return out
+    @_memoized
+    def bases(self, p: DataProcessing) -> frozenset[str]:
+        return frozenset(pu.legalBasis for pu in self.graph.resolve(p.purposes))
 
-    def subjects(self, p: DataProcessing) -> list[DataSubject]:
+    @_memoized
+    def categories(self, p: DataProcessing) -> frozenset[str]:
+        return frozenset(category for pd in self.graph.resolve(p.personalData)
+                         for category in pd.categories)
+
+    @_memoized
+    def subjects(self, p: DataProcessing) -> tuple[DataSubject, ...]:
         return _by_id(subject for pd in self.graph.resolve(p.personalData)
                       for subject in self.graph.resolve(pd.subjects))
 
     def consent_based(self, p: DataProcessing) -> bool:
         return p.consent is not None or "BY_CONSENT" in self.bases(p)
 
-    def actors(self, p: DataProcessing) -> list[Actor]:
+    @_memoized
+    def actors(self, p: DataProcessing) -> tuple[Actor, ...]:
         return _by_id(self.graph.resolve(p.controllers) + self.graph.resolve(p.processors))
 
     def euro_link(self, actor: Actor) -> bool:
         return any(_under_eu_law(c) for c in self.graph.resolve(actor.countries))
 
-    def measures(self, p: DataProcessing, cls: str) -> list[SecurityMeasure]:
-        return [m for m in self.graph.resolve(p.securityMeasures) if m.cls == cls]
+    @_memoized
+    def measures(self, p: DataProcessing, cls: str) -> tuple[SecurityMeasure, ...]:
+        return tuple(m for m in self.graph.resolve(p.securityMeasures) if m.cls == cls)
 
+    @_memoized
     def identifiable(self, p: DataProcessing) -> bool:
         return any(pd.identifiesSubject for pd in self.graph.resolve(p.personalData))
+
+    @_memoized
+    def supports(self, p: DataProcessing) -> tuple[RightSupport, ...]:
+        return tuple(self.graph.resolve(p.supportedRights))
+
+    @_memoized
+    def request_index(self, p: DataProcessing
+                      ) -> Mapping[tuple[str, bool], tuple[RightRequest, ...]]:
+        """(right, granted) -> the requests under ``p``'s supports of that
+        right with that outcome, in support order, repeats kept."""
+        index: dict[tuple[str, bool], list[RightRequest]] = {}
+        for support in self.supports(p):
+            for request in self.graph.resolve(support.requests):
+                index.setdefault((support.right, request.granted), []).append(request)
+        return MappingProxyType({key: tuple(requests) for key, requests in index.items()})
 
     def notification_for(self, p: DataProcessing, about: str) -> GenericNode | None:
         for node in self.graph.referrers(p.id, "Notification", "processing"):
@@ -307,36 +353,34 @@ class EvalContext:
         return (right in self._research_derogations and p.type in self._research_types
                 or right in self._archiving_derogations and "ARCHIVING" in p.operations)
 
-    # Both conditions take ``self.bases(p)``, which every caller already holds.
-    def portability_applies(self, p: DataProcessing, bases: set[str]) -> bool:
+    def portability_applies(self, p: DataProcessing) -> bool:
         """Art. 20(1): consent or a contract, over data the subject provided."""
-        return bool(bases & {"BY_CONSENT", "PERFORMANCE_OF_CONTRACT"}) and any(
+        return bool(self.bases(p) & {"BY_CONSENT", "PERFORMANCE_OF_CONTRACT"}) and any(
             pd.collectedDirectlyFromSubject for pd in self.graph.resolve(p.personalData))
 
-    def objection_applies(self, p: DataProcessing, bases: set[str]) -> bool:
+    def objection_applies(self, p: DataProcessing) -> bool:
         """Art. 21: consent, a legitimate or public interest, or profiling."""
-        return bool(bases & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"}) \
+        return bool(self.bases(p) & {"BY_CONSENT", "LEGITIMATE_INTEREST", "PUBLIC_INTEREST"}) \
             or "PROFILING" in p.operations
 
-    def rights_applicable(self, p: DataProcessing) -> set[str]:
+    @_memoized
+    def rights_applicable(self, p: DataProcessing) -> frozenset[str]:
         rights = set(ALWAYS_APPLICABLE_RIGHTS)
-        bases = self.bases(p)
-        if self.portability_applies(p, bases):
+        if self.portability_applies(p):
             rights.add("RIGHT_TO_PORTABILITY")
-        if self.objection_applies(p, bases):
+        if self.objection_applies(p):
             rights.add("RIGHT_TO_OBJECT")
         if p.automatedDecisionMaking:
             rights.add("RIGHT_TO_NOT_BE_PART_OF_A_DECISION")
-        rights = {r for r in rights
-                  if not self.right_removed("C9", r)
-                  and not self.right_derogated(p, r)}
-        return rights
+        return frozenset(r for r in rights
+                         if not self.right_removed("C9", r)
+                         and not self.right_derogated(p, r))
 
 
-def _by_id(nodes: Iterable[Node]) -> list[Node]:
+def _by_id(nodes: Iterable[Node]) -> tuple[Node, ...]:
     """``nodes`` without repeats, in id order."""
     seen = {node.id: node for node in nodes}
-    return [seen[i] for i in sorted(seen)]
+    return tuple(seen[i] for i in sorted(seen))
 
 
 def _under_eu_law(country: Country | None) -> bool:
@@ -398,27 +442,25 @@ VARIATION_RULE_SPECS: dict[str, RuleSpec] = {}
 
 
 def _register(table: dict[str, RuleSpec], rule_id: str, articles: tuple[int, ...],
-              summary: str, hooks: tuple[str, ...] = (), origin: str = "generic"):
+              summary: str, origin: str = "generic"):
     def wrap(fn):
         table[rule_id] = RuleSpec(
             id=rule_id,
             articles=articles,
             summary=summary,
             predicate=fn,
-            hooksUsed=frozenset(hooks),
             origin=origin,
         )
         return fn
     return wrap
 
 
-def rule(rule_id, articles, summary, hooks=()):
-    return _register(RULE_CATALOG, rule_id, articles, summary, hooks)
+def rule(rule_id, articles, summary):
+    return _register(RULE_CATALOG, rule_id, articles, summary)
 
 
-def variation_rule(rule_id, articles, summary, hooks=()):
-    return _register(VARIATION_RULE_SPECS, rule_id, articles, summary, hooks,
-                     origin="variation")
+def variation_rule(rule_id, articles, summary):
+    return _register(VARIATION_RULE_SPECS, rule_id, articles, summary, origin="variation")
 
 
 def _status(instances: Sequence, failures: list[Finding],
@@ -531,8 +573,7 @@ def _c4(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
-@rule("C5", (8,), "age conditions for consent, with the parental fallback",
-      hooks=("V_getMinimumAgeForDS", "V_checkParentDocuments"))
+@rule("C5", (8,), "age conditions for consent, with the parental fallback")
 def _c5(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope() if ctx.consent_based(p)]
     failures: list[Finding] = []
@@ -576,8 +617,7 @@ def check_child_consent(graph: InstanceGraph, profile,
     return evaluate_rule("C5", graph, profile, check_date=check_date, strict=strict)
 
 
-@rule("C6", (9,), "special data categories processed only under a lifting condition",
-      hooks=("V_prohibitionCanBeLiftedByConsent",))
+@rule("C6", (9,), "special data categories processed only under a lifting condition")
 def _c6(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope()
                  if ctx.categories(p) & enums.SPECIAL_DATA_CATEGORIES]
@@ -659,18 +699,18 @@ def _c9(ctx: EvalContext) -> tuple[str, list[Finding]]:
     scope = _rights_scope(ctx, "C9")
     failures: list[Finding] = []
     for p in scope:
-        enabled = {s.right for s in ctx.graph.resolve(p.supportedRights) if s.enabled}
+        enabled = {s.right for s in ctx.supports(p) if s.enabled}
         for right in sorted(ctx.rights_applicable(p)):
             if right not in enabled:
                 failures.append(Finding(
                     p.id, f"applicable right {right} is not supported"))
-        for support in ctx.graph.resolve(p.supportedRights):
-            for request in ctx.graph.resolve(support.requests):
-                failures.extend(_request_findings(ctx, support, request))
+        for (right, _granted), requests in ctx.request_index(p).items():
+            for request in requests:
+                failures.extend(_request_findings(ctx, right, request))
     return _status(scope, failures)
 
 
-def _request_findings(ctx: EvalContext, support: RightSupport,
+def _request_findings(ctx: EvalContext, right: str,
                       request: RightRequest) -> list[Finding]:
     out: list[Finding] = []
     received = ctx.graph.minutes(request.receivedAt)
@@ -683,12 +723,12 @@ def _request_findings(ctx: EvalContext, support: RightSupport,
             if responded > deadline:
                 out.append(Finding(
                     request.id,
-                    f"request under {support.right} answered after the "
+                    f"request under {right} answered after the "
                     "one-month window (and any notified extension)"))
         elif ctx.check_minutes > deadline:
             out.append(Finding(
                 request.id,
-                f"request under {support.right} is still unanswered after "
+                f"request under {right} is still unanswered after "
                 "the response window"))
     if responded is not None and not request.identityVerified:
         out.append(Finding(
@@ -793,10 +833,9 @@ def _c12(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 
 def _requests(ctx: EvalContext, p: DataProcessing, right: str,
-              granted: bool) -> list[RightRequest]:
+              granted: bool) -> tuple[RightRequest, ...]:
     """The granted (or denied) requests under ``p``'s supports of ``right``."""
-    return [request for support in ctx.graph.resolve(p.supportedRights) if support.right == right
-            for request in ctx.graph.resolve(support.requests) if request.granted == granted]
+    return ctx.request_index(p).get((right, granted), ())
 
 
 def _notify_recipients(ctx: EvalContext, p: DataProcessing, about: str,
@@ -865,26 +904,21 @@ def _c16(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in _rights_scope(ctx, "C16", "RIGHT_TO_PORTABILITY"):
-        bases = ctx.bases(p)
-        for support in ctx.graph.resolve(p.supportedRights):
-            if support.right != "RIGHT_TO_PORTABILITY":
-                continue
-            for request in ctx.graph.resolve(support.requests):
-                instances.append(request)
-                preconditions = (
-                    "PUBLIC_INTEREST" not in bases
-                    and ctx.portability_applies(p, bases)
-                    and request.identityVerified
-                )
-                if preconditions and not request.granted:
-                    failures.append(Finding(
-                        request.id, "portability request denied although every "
-                                    "precondition holds"))
-                elif not preconditions and not request.granted \
-                        and request.denialReason is None:
-                    failures.append(Finding(
-                        request.id, "portability denied without telling the "
-                                    "subject why"))
+        instances.extend(_requests(ctx, p, "RIGHT_TO_PORTABILITY", True))
+        denied = _requests(ctx, p, "RIGHT_TO_PORTABILITY", False)
+        if not denied:
+            continue
+        instances.extend(denied)
+        eligible = "PUBLIC_INTEREST" not in ctx.bases(p) and ctx.portability_applies(p)
+        for request in denied:
+            if eligible and request.identityVerified:
+                failures.append(Finding(
+                    request.id, "portability request denied although every "
+                                "precondition holds"))
+            elif request.denialReason is None:
+                failures.append(Finding(
+                    request.id, "portability denied without telling the "
+                                "subject why"))
     return _status(instances, failures)
 
 
@@ -893,7 +927,7 @@ def _c17(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
     for p in _rights_scope(ctx, "C17", "RIGHT_TO_OBJECT"):
-        if not ctx.objection_applies(p, ctx.bases(p)):
+        if not ctx.objection_applies(p):
             continue
         for request in _requests(ctx, p, "RIGHT_TO_OBJECT", False):
             instances.append(request)
@@ -921,7 +955,7 @@ def _c18(ctx: EvalContext) -> tuple[str, list[Finding]]:
             continue
         bases = ctx.bases(p)
         supported = any(s.right == "RIGHT_TO_NOT_BE_PART_OF_A_DECISION" and s.enabled
-                        for s in ctx.graph.resolve(p.supportedRights))
+                        for s in ctx.supports(p))
         allowed = (
             supported
             or "PERFORMANCE_OF_CONTRACT" in bases
@@ -1008,8 +1042,7 @@ def _represented_in_eu(ctx: EvalContext, actor: Actor) -> bool:
                for c in ctx.graph.resolve(rep.countries))
 
 
-@rule("C22", (28, 29), "processors act on documented instructions with safeguards",
-      hooks=("V_processWithoutControllerInstructions",))
+@rule("C22", (28, 29), "processors act on documented instructions with safeguards")
 def _c22(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
@@ -1200,8 +1233,7 @@ def _c28(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
-@rule("C29", (37, 38), "a data protection officer is designated when mandated",
-      hooks=("V_bodiesMustDesignateDPO",))
+@rule("C29", (37, 38), "a data protection officer is designated when mandated")
 def _c29(ctx: EvalContext) -> tuple[str, list[Finding]]:
     duties: list[Actor] = []
     for p in ctx.scope():
@@ -1449,14 +1481,12 @@ def _c35(ctx: EvalContext) -> tuple[str, list[Finding]]:
 # Variation-point rules (activated by resolutions)
 # ---------------------------------------------------------------------------
 
-@variation_rule("V1", (8,), "national minimum consent age per residence country",
-                hooks=("V_getMinimumAgeForDS", "V_checkParentDocuments"))
+@variation_rule("V1", (8,), "national minimum consent age per residence country")
 def _v1(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _c5(ctx)
 
 
-@variation_rule("V2", (8,), "parental responsibility proven by accepted documents",
-                hooks=("V_checkParentDocuments",))
+@variation_rule("V2", (8,), "parental responsibility proven by accepted documents")
 def _v2(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
@@ -1483,7 +1513,7 @@ def _missing_measures(ctx: EvalContext, p: DataProcessing,
 
 
 @variation_rule("V4", (9,), "national conditions on genetic, biometric, and "
-                            "health data", hooks=("V_verifyFurtherConditionsAndLimit",))
+                            "health data")
 def _v4(ctx: EvalContext) -> tuple[str, list[Finding]]:
     params = ctx.resolution_params("V4")
     restricted = frozenset(params.get("restrictedCategories", _V4_CATEGORIES))
@@ -1504,8 +1534,7 @@ def _v4(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
-@variation_rule("V7", (32,), "persons under authority process only on instructions",
-                hooks=("V_processWithoutControllerInstructions",))
+@variation_rule("V7", (32,), "persons under authority process only on instructions")
 def _v7(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances: list = []
     failures: list[Finding] = []
@@ -1521,8 +1550,7 @@ def _v7(ctx: EvalContext) -> tuple[str, list[Finding]]:
 
 
 @variation_rule("V8", (36,), "impact assessments document the reconciliation "
-                             "with freedom of expression",
-                hooks=("V_ReconcileByLaw",))
+                             "with freedom of expression")
 def _v8(ctx: EvalContext) -> tuple[str, list[Finding]]:
     wanted_types = ctx.resolution_params("V8").get("requiredForProcessingTypes")
     instances: list = []
@@ -1541,8 +1569,7 @@ def _v8(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
-@variation_rule("V10", (49,), "national limits on transfers of specific categories",
-                hooks=("V_verifyTransferLimits",))
+@variation_rule("V10", (49,), "national limits on transfers of specific categories")
 def _v10(ctx: EvalContext) -> tuple[str, list[Finding]]:
     limits = ctx.resolution_params("V10")["limits"]
     instances: list = []
@@ -1636,8 +1663,7 @@ def _v14(ctx: EvalContext) -> tuple[str, list[Finding]]:
     return _status(instances, failures)
 
 
-@variation_rule("V15", (87,), "conditions on processing national identifiers",
-                hooks=("V_checkedIDProcessing",))
+@variation_rule("V15", (87,), "conditions on processing national identifiers")
 def _v15(ctx: EvalContext) -> tuple[str, list[Finding]]:
     params = ctx.resolution_params("V15")
     instances = [p for p in ctx.scope() if "IDENTIFICATION" in ctx.categories(p)]
@@ -1663,23 +1689,20 @@ def _derogation_note_rule(ctx: EvalContext, variation_id: str,
     return _status(instances, [], notes)
 
 
-@variation_rule("V17", (89,), "right derogations for research and statistics",
-                hooks=("V_checkDerrogationsFromRights",))
+@variation_rule("V17", (89,), "right derogations for research and statistics")
 def _v17(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope() if p.type in ctx._research_types]
     return _derogation_note_rule(ctx, "V17", instances)
 
 
-@variation_rule("V18", (89,), "right derogations for public-interest archiving",
-                hooks=("V_checkDerrogationsFromRights",))
+@variation_rule("V18", (89,), "right derogations for public-interest archiving")
 def _v18(ctx: EvalContext) -> tuple[str, list[Finding]]:
     instances = [p for p in ctx.scope() if "ARCHIVING" in p.operations]
     return _derogation_note_rule(ctx, "V18", instances)
 
 
 @variation_rule("V19", (90,), "supervisory powers against secrecy-bound "
-                              "controllers stay within national limits",
-                hooks=("V_checkDerrogationsFromRights",))
+                              "controllers stay within national limits")
 def _v19(ctx: EvalContext) -> tuple[str, list[Finding]]:
     tasks = [n for n in ctx.graph.of_class("Investigation_Task")
              if n.attrs.get("involvesSecretData")]

@@ -369,6 +369,29 @@ def test_referrers_returns_id_sorted_nodes_of_the_class_and_role():
     assert graph.referrers("c", "Actor", "represents") == ()
 
 
+# A graph with a dangling reference, and a node every field of which is empty.
+_RESOLVE_GRAPH = graph_of(
+    LU, US, GenericNode(id="g", cls="Demonstration"),
+    DataProcessing(id="p", cls="Data_Processing", purposes=("ghost",), type="OTHER"))
+
+
+@pytest.mark.parametrize("ids, expected", [
+    ((), []),
+    (("LU",), ["LU"]),
+    (("ghost",), []),
+    (("US", "ghost", "LU", "US"), ["US", "LU", "US"]),
+    (["g", "", "g"], ["g", "g"]),
+    (("p", "LU", "p"), ["p", "LU", "p"]),
+])
+def test_resolve_keeps_order_and_repeats_and_skips_unknown_ids(ids, expected):
+    graph = _RESOLVE_GRAPH
+    assert graph.ref_violations
+    got = graph.resolve(ids)
+    assert type(got) is list
+    assert [node.id for node in got] == expected
+    assert all(node is graph[node.id] for node in got)
+
+
 def test_latest_timestamp_scan():
     controller = Actor(id="a", cls="Data_Controller", kind="ENTERPRISE",
                        countries=("LU",))

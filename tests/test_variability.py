@@ -10,10 +10,10 @@ from types import MappingProxyType
 
 import pytest
 
-from fixtures import compliant_document, document_bytes, find, obj
+from fixtures import compliant_document, document_bytes, failing_variants, find, obj
 from gdpr_engine import cli, enums, evaluate_all, evaluate_rule, load_instance, rules
 from gdpr_engine.ingest import SCHEMA, LoadError, load_profile
-from gdpr_engine.rules import DEFAULT_HOOKS, FAIL, NOT_APPLICABLE, PASS, VARIATION_RULE_SPECS
+from gdpr_engine.rules import FAIL, HOOK_IMPLS, NOT_APPLICABLE, PASS
 from gdpr_engine.variability import (
     ADAPT,
     ADD,
@@ -255,11 +255,6 @@ def test_declared_effects_are_consistent():
     for vp in VARIATION_POINTS.values():
         for enum_name, _literal in vp.enumExtensions:
             assert enum_name in enums.EXTENSIBLE_ENUMERATIONS, vp.id
-        # A rule a point adds needs only built-in hooks and the point's own,
-        # so a profile holding the rule has every hook it reads.
-        for rule_id in vp.addsRules:
-            needed = VARIATION_RULE_SPECS[rule_id].hooksUsed
-            assert needed <= {*DEFAULT_HOOKS, *vp.parameterHooks}, (vp.id, rule_id)
     # A replaced rule is a generic one that only one point replaces, so it is
     # still active when that point applies; an adapted rule is generic and
     # never replaced, so it is still active when the profile is finalized.
@@ -320,31 +315,48 @@ def test_noop_specialization_equals_the_generic_profile(generic_profile):
     assert generic_report == noop_report
 
 
-def test_every_active_rule_hook_is_known_to_the_profile():
-    profiles = [
-        build_profile([]),
-        build_profile([Resolution("V12", {})]),
-        build_profile([
-            Resolution("V4", {"requiredTechnicalMeasures": ["ENCRYPTION"]}),
-            Resolution("V8", {}),
-            Resolution("V10", {"limits": [{"categories": ["HEALTH"],
-                                           "toCountries": ["US"]}]}),
-            Resolution("V15", {}),
-            Resolution("V17", {"derogatedRights": ["RIGHT_TO_ACCESS"]}),
-        ]),
-    ]
-    for profile in profiles:
-        known = set(profile.hooks)
-        for spec in profile.rules():
-            assert spec.hooksUsed <= known, (spec.id, spec.hooksUsed - known)
-
-
-def test_v3_blocks_the_consent_route_for_special_data(generic_profile):
+def consent_lifted_special_data() -> dict:
+    """The compliant document with health data whose prohibition is lifted
+    by consent: the only input on which C6 consults its hook."""
     document = compliant_document()
     find(document, "pd1")["attrs"]["categories"] = ["HEALTH"]
     find(document, "p1")["attrs"]["specialCategoriesException"] = \
         "CONSENT_PERMITTED_BY_EU"
+    return document
 
+
+def test_each_rule_consults_the_hooks_its_variation_points_wire_to_it(monkeypatch):
+    consulted: dict[str, set[str]] = {}
+    running = [""]
+    run_rule, hook = rules._run_rule, rules.EvalContext.hook
+
+    def spied_run_rule(spec, ctx):
+        running[0] = spec.id
+        return run_rule(spec, ctx)
+
+    def spied_hook(ctx, name, *args):
+        consulted.setdefault(running[0], set()).add(name)
+        return hook(ctx, name, *args)
+
+    monkeypatch.setattr(rules, "_run_rule", spied_run_rule)
+    monkeypatch.setattr(rules.EvalContext, "hook", spied_hook)
+    documents = [compliant_document(), *failing_variants().values(),
+                 consent_lifted_special_data()]
+    for path in sorted(FULL_PROFILE.parent.glob("*.json")):
+        profile = build_profile(load_profile(path.read_bytes()))
+        for document in documents:
+            evaluate_all(load_instance(document_bytes(document), profile), profile,
+                         strict=True)
+    for rule_id, hooks in consulted.items():
+        assert hooks <= HOOK_IMPLS.keys(), (rule_id, hooks - HOOK_IMPLS.keys())
+    for vp in VARIATION_POINTS.values():
+        for rule_id in (*vp.hookTargets, *vp.addsRules):
+            if vp.hooks:
+                assert set(vp.hooks) <= consulted.get(rule_id, set()), (vp.id, rule_id)
+
+
+def test_v3_blocks_the_consent_route_for_special_data(generic_profile):
+    document = consent_lifted_special_data()
     graph = load_instance(document_bytes(document), generic_profile)
     assert evaluate_rule("C6", graph, generic_profile).status == PASS
 
