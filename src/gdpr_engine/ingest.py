@@ -19,7 +19,6 @@ import json
 import math
 import re
 from dataclasses import fields
-from sys import intern
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import model
@@ -106,13 +105,19 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     cyclic garbage collection is paused meanwhile. A successful load with the
     collector enabled and nothing frozen (``gc.freeze``) then moves every
     live object, the graph included, to the oldest generation.
+
+    Each path keeps the strings its nodes hold through one table made for
+    the load, so equal strings are one object. The input bytes are let go
+    once decoded, so a temporary (``load_instance(handle.read())``) is freed
+    before the scan.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         text = _decode(data)
         from_str = isinstance(data, str)
-        # A declined stream's minutes are dropped with its nodes.
+        del data
+        # A declined stream's minutes and strings are dropped with its nodes.
         nodes, parsed = _stream_nodes(text, from_str) or (None, {})
         if nodes is None:
             nodes = _with_unique_ids(_document_nodes(text, from_str, parsed))
@@ -227,7 +232,9 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     Keys are read with the scanner's string reader and values with
     ``_DECODER.scan_once``, the scanner and number hooks that
     ``_DECODER.decode`` uses, so each element of ``objects`` is the dict a
-    whole-document parse would hold. It is built into its node and dropped.
+    whole-document parse would hold. It is built into its node and dropped:
+    a well-formed envelope of a typed class named exactly goes straight to
+    its decoder, any other object through ``_build_node``.
 
     Returns None, and never raises, for a document that might not load
     this way: a syntax error anywhere, a root that is not an object, a
@@ -245,6 +252,7 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     scan = _DECODER.scan_once
     nodes: list[Node] | None = None
     parsed: dict[str, int] = {}
+    keep = {}.setdefault  # the load's string table
     keys: set[str] = set()
     try:
         pos = _skip_space(text, 0).end()
@@ -274,7 +282,16 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
                 char = text[pos:pos + 1]
                 while char != "]":
                     raw, pos = scan(text, pos)
-                    nodes.append(_build_node(raw, len(nodes), parsed))
+                    # The class is tested for a str before it is hashed.
+                    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
+                            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
+                            and type(object_id := raw.get("id")) is str and object_id
+                            and type(attrs := raw.get("attrs", {})) is dict
+                            and type(refs := raw.get("refs", {})) is dict):
+                        nodes.append(_CODECS[cls][0](keep(object_id, object_id), attrs,
+                                                     refs, parsed, keep))
+                    else:
+                        nodes.append(_build_node(raw, len(nodes), parsed, keep))
                     # A separator costs a regex match only when it holds
                     # whitespace other than json.dumps' single space.
                     char = text[pos:pos + 1]
@@ -326,8 +343,9 @@ def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterat
     raw_objects = document["objects"]
     if not isinstance(raw_objects, list):
         _fail(SCHEMA, "objects must be a list")
+    keep = {}.setdefault  # the load's string table
     for position, raw in enumerate(raw_objects):
-        yield _build_node(raw, position, parsed)
+        yield _build_node(raw, position, parsed, keep)
 
 
 def _with_unique_ids(nodes: Iterable[Node]) -> list[Node]:
@@ -351,7 +369,8 @@ def _unknown(names, allowed: frozenset[str]) -> str:
     return ", ".join(sorted(names - allowed))
 
 
-def _build_node(raw: object, position: int, parsed: dict[str, int]) -> Node:
+def _build_node(raw: object, position: int, parsed: dict[str, int], keep) -> Node:
+    """The node of ``raw``, its strings kept by ``keep``, or its first LoadError."""
     if not isinstance(raw, dict):
         _fail(SCHEMA, f"objects[{position}] is not an object")
     if not raw.keys() <= _OBJECT_KEYS:
@@ -379,16 +398,17 @@ def _build_node(raw: object, position: int, parsed: dict[str, int]) -> Node:
     if not isinstance(refs, dict):
         _fail(SCHEMA, "refs must be an object", object_id=object_id)
 
+    object_id = keep(object_id, object_id)
     if canonical not in DATACLASS_FOR:
-        # The scanner forgets its key memo between objects, so interning
-        # keeps one copy of each open key, as a whole-document parse did.
-        return GenericNode(id=object_id, cls=canonical,
-                           attrs={intern(key): value for key, value in attrs.items()},
-                           refs=_generic_refs(object_id, refs))
-    return _CODECS[canonical][0](object_id, attrs, refs, parsed)
+        return GenericNode(
+            id=object_id, cls=keep(canonical, canonical),
+            attrs=ReadOnlyDict({keep(key, key): keep(value, value) if type(value) is str
+                                else value for key, value in attrs.items()}),
+            refs=_generic_refs(object_id, refs, keep))
+    return _CODECS[canonical][0](object_id, attrs, refs, parsed, keep)
 
 
-def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
+def _generic_refs(object_id: str, refs: Mapping, keep) -> ReadOnlyDict:
     out: dict[str, tuple[str, ...]] = {}
     for role, value in refs.items():
         ids = value if isinstance(value, list) else [value]
@@ -396,8 +416,23 @@ def _generic_refs(object_id: str, refs: Mapping) -> dict[str, tuple[str, ...]]:
             if not isinstance(target, str) or not target:
                 _fail(SCHEMA, f"ref {role!r} must hold object ids",
                       object_id=object_id)
-        out[intern(role)] = tuple(sorted(ids))
-    return out
+        out[keep(role, role)] = tuple(sorted(map(keep, ids, ids)))
+    return ReadOnlyDict(out)
+
+
+class ReadOnlyDict(dict):
+    """The ``attrs`` or ``refs`` of a loaded generic node: a dict, which the
+    C JSON encoder writes as any other, whose mutators raise TypeError."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a loaded node's attrs and refs are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # else a dict subclass unpickles through __setitem__
+        return type(self), (dict(self),)
 
 
 def _parse_timestamp(object_id: str, label: str, value: object,
@@ -412,7 +447,7 @@ def _parse_timestamp(object_id: str, label: str, value: object,
               object_id=object_id)
 
 
-def _build_basis(object_id: str, raw: object) -> TransferBasis:
+def _build_basis(object_id: str, raw: object, keep) -> TransferBasis:
     if raw is None:
         _fail(SCHEMA, "Data_Transfer.basis is required", object_id=object_id)
     if not isinstance(raw, dict):
@@ -427,7 +462,7 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
         _fail(SCHEMA, f"basis fields {', '.join(unknown)} do not belong to a "
                       f"{kind} basis (exactly one variant may be populated)",
               object_id=object_id)
-    kwargs: dict[str, object] = {"kind": kind}
+    kwargs: dict[str, object] = {"kind": keep(kind, kind)}
     for name, default in BASIS_DEFAULTS:
         if name not in raw:
             continue
@@ -436,18 +471,20 @@ def _build_basis(object_id: str, raw: object) -> TransferBasis:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 _fail(SCHEMA, f"basis.{name} must be a list of strings",
                       object_id=object_id)
-            value = tuple(sorted(set(value))) if name == "information" else tuple(value)
+            if name == "information":
+                value = sorted(set(value))
+            value = tuple(map(keep, value, value))
         elif isinstance(default, bool):
             if not isinstance(value, bool):
                 _fail(SCHEMA, f"basis.{name} must be a boolean", object_id=object_id)
         elif not isinstance(value, str):
             _fail(SCHEMA, f"basis.{name} must be a string", object_id=object_id)
-        kwargs[name] = value
+        kwargs[name] = keep(value, value) if type(value) is str else value
     return TransferBasis(**kwargs)
 
 
-def _build_consultation(object_id: str, raw: object,
-                        parsed: dict[str, int]) -> Consultation:
+def _build_consultation(object_id: str, raw: object, parsed: dict[str, int],
+                        keep) -> Consultation:
     if not isinstance(raw, dict):
         _fail(SCHEMA, "consultation must be an object", object_id=object_id)
     unknown = sorted(set(raw) - {"requestedAt", "adviceAt", "extended"})
@@ -464,7 +501,9 @@ def _build_consultation(object_id: str, raw: object,
     if not isinstance(extended, bool):
         _fail(SCHEMA, "consultation.extended must be a boolean",
               object_id=object_id)
-    return Consultation(requestedAt=requested, adviceAt=advice, extended=extended)
+    return Consultation(requestedAt=keep(requested, requested),
+                        adviceAt=None if advice is None else keep(advice, advice),
+                        extended=extended)
 
 
 # The source of each generated codec, by (kind, wire class), for reading.
@@ -503,21 +542,22 @@ _CODECS = _Codecs()
 _ATTR_CHECKS = {"str": ("type({0}) is not str", "a string"),
                 "bool": ("{0} is not True and {0} is not False", "a boolean"),
                 "int": ("type({0}) is not int", "an integer")}
-_NESTED_CALLS = {"basis": "_build_basis(object_id, {0})",
-                 "consultation": "_build_consultation(object_id, {0}, parsed)"}
+_NESTED_CALLS = {"basis": "_build_basis(object_id, {0}, keep)",
+                 "consultation": "_build_consultation(object_id, {0}, parsed, keep)"}
 
 
 def _decoder_source(cls: str) -> str:
-    """Source of ``decode(object_id, attrs, refs, parsed)`` for the typed wire
-    class ``cls``: it checks unknown attrs, unknown refs, each attr and ref in
-    table order, then the nested attrs, and writes each field's slot of a new
-    node, as the node class's ``__init__`` would. Values come from the JSON
-    scanner, so exact type tests stand for isinstance."""
+    """Source of ``decode(object_id, attrs, refs, parsed, keep)`` for the
+    typed wire class ``cls``: it checks unknown attrs, unknown refs, each attr
+    and ref in table order, then the nested attrs, and writes each field's
+    slot of a new node, as the node class's ``__init__`` would. A string is
+    kept by ``keep`` (the load's ``table.setdefault``) once checked. Values
+    come from the JSON scanner, so exact type tests stand for isinstance."""
     node_fields = fields(DATACLASS_FOR[cls])
     assert not hasattr(DATACLASS_FOR[cls], "__post_init__"), cls
     defaults = {f.name: repr(f.default) for f in node_fields}
     args = {"id": "object_id", "cls": repr(cls)}  # field -> its value's source
-    lines = ["def decode(object_id, attrs, refs, parsed):"]
+    lines = ["def decode(object_id, attrs, refs, parsed, keep):"]
 
     def add(depth: int, line: str) -> None:
         lines.append("    " * depth + line)
@@ -545,9 +585,10 @@ def _decoder_source(cls: str) -> str:
             add(1, f"elif type({value}) is not list:")
             fail(2, repr(f"{label} must be a list"))
             add(1, "else:")
-            add(2, f"for item in {value}:")
+            add(2, f"for n, item in enumerate({value}):")
             add(3, "if type(item) is not str:")
             fail(4, repr(f"{label} entries must be strings"))
+            add(3, f"{value}[n] = keep(item, item)")  # the scanned list is dropped
             # A plain string list keeps its document order; an enum list is a set.
             kept = value if spec.kind == "strlist" else f"sorted(set({value}))"
             add(2, f"{value} = tuple({kept})")
@@ -561,6 +602,9 @@ def _decoder_source(cls: str) -> str:
             if spec.nonneg:
                 add(1, f"elif {value} < 0:")
                 fail(2, repr(f"{label} must be non-negative"))
+        if spec.kind in ("str", "ts") and not spec.many:  # optional, it may be None
+            kept = f"{value} = keep({value}, {value})"
+            add(1, kept if spec.required else f"if type({value}) is str: {kept}")
     for spec in CLASS_REFS[cls]:
         value, label = "r_" + spec.field_name, f"{cls} ref {spec.name!r}"
         take("refs", spec, value, label)
@@ -568,9 +612,10 @@ def _decoder_source(cls: str) -> str:
         if spec.many:
             add(2, f"if type({value}) is not list:")
             add(3, f"{value} = [{value}]")
-            add(2, f"for item in {value}:")
+            add(2, f"for n, item in enumerate({value}):")
             add(3, "if type(item) is not str or not item:")
             fail(4, repr(f"{label} must hold object ids"))
+            add(3, f"{value}[n] = keep(item, item)")
             add(2, f"{value} = tuple(sorted({value}))")
         else:
             add(2, f"if type({value}) is list:")
@@ -579,6 +624,7 @@ def _decoder_source(cls: str) -> str:
             add(3, f"{value} = {value}[0]")
             add(2, f"if type({value}) is not str or not {value}:")
             fail(3, repr(f"{label} must hold an object id"))
+            add(2, f"{value} = keep({value}, {value})")
     for spec in NESTED_ATTRS.get(cls, ()):
         # A required nested attr is decoded even when absent, so that its
         # decoder reports it.

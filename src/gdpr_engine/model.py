@@ -7,8 +7,8 @@ documents, in-memory objects, and findings all speak the same vocabulary.
 
 The typed node classes are generated from one field table
 (``CLASS_ATTRS``/``CLASS_REFS``, defaults in ``AttrSpec``) as frozen,
-slotted dataclasses. A ``GenericNode``'s ``attrs`` and ``refs`` are plain
-dicts: the loader builds them and nothing changes them afterwards.
+slotted dataclasses. A ``GenericNode``'s ``attrs`` and ``refs`` are dicts;
+the loader builds them as ``ingest.ReadOnlyDict``, which refuses changes.
 
 Graphs are immutable after construction and safe for concurrent reads.
 A graph proves its references when it is built: one walk records every

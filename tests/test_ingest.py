@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
 import json
+import pickle
+import sys
 from unittest import mock
 
 import pytest
@@ -14,6 +17,7 @@ from fixtures import (
     LONE_SURROGATE_MUTATIONS,
     compliant_document,
     document_bytes,
+    failing_variants,
     find,
     prefixed,
     variant,
@@ -396,6 +400,93 @@ def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():
     assert check_date == evaluate_all(whole, profile).to_payload()["checkDate"]
     assert check_date == evaluate_all(expected, profile).to_payload()["checkDate"]
     assert serialize_instance(graph) == serialize_instance(expected)
+
+
+# ---------------------------------------------------------------------------
+# One string object per distinct value
+# ---------------------------------------------------------------------------
+
+def held_strings(value):
+    """Every string a loaded node holds: its fields, their items, nested
+    basis and consultation fields, and generic attr and ref keys and values."""
+    if type(value) is str:
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_strings(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from held_strings(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from held_strings(getattr(value, f.name))
+
+
+def repeated_strings(graph) -> list[tuple[str, str]]:
+    """(object id, string) for each string the nodes hold that equals, but
+    is not, one held earlier."""
+    first: dict[str, str] = {}
+    return [(node.id, text) for node in graph for text in held_strings(node)
+            if first.setdefault(text, text) is not text]
+
+
+def landscape_documents():
+    yield "fixture", compliant_document()
+    yield from failing_variants().items()
+    objects = compliant_document()["objects"]
+    yield "20 replicas", {"schemaVersion": "1",
+                          "objects": [prefixed(o, f"r{i}.") for i in range(20)
+                                      for o in objects]}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["streamed", "whole"])
+def test_equal_strings_of_a_loaded_graph_are_one_object(whole):
+    documents = dict(landscape_documents())
+    assert len(documents) == 37
+    for name, document in documents.items():
+        data = document_bytes(document)
+        if whole:
+            with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+                graph = load_instance(data)
+        else:
+            graph = load_instance(data)
+        assert repeated_strings(graph) == [], name
+
+
+def test_the_string_table_does_not_outlive_the_load():
+    """Keys and values a document chooses are not interned: once the graph
+    is gone, nothing holds them."""
+    key = "".join(["open", "Key"])  # made at run time, so not interned
+    document = {"schemaVersion": "1", "objects": [
+        {"id": "n1", "class": "Demonstration", "attrs": {key: "v"}, "refs": {key: ["n1"]}}]}
+    graph = load_instance(document_bytes(document))
+    held = next(k for k in graph["n1"].attrs if k == key)
+    assert held is next(k for k in graph["n1"].refs if k == key)
+    assert sys.intern(key) is not held
+    del graph
+    assert sys.getrefcount(held) == 2  # the name and getrefcount's argument
+
+
+def test_a_loaded_generic_nodes_attrs_and_refs_are_read_only():
+    graph = load_instance(document_bytes(compliant_document()))
+    node = graph["note_rect"]
+    assert node.attrs == {"about": "RECTIFICATION", "dsInformed": True}
+    assert node.refs == {"processing": ("p1",), "recipients": ("recip",)}
+    for members in (node.attrs, node.refs):
+        before = dict(members)
+        for mutate in (lambda m: m.__setitem__("x", ()), lambda m: m.__delitem__("processing"),
+                       lambda m: m.update(x=()), lambda m: m.setdefault("x", ()),
+                       lambda m: m.pop("processing", None), lambda m: m.popitem(),
+                       lambda m: m.clear(), lambda m: m.__ior__({"x": ()})):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(members)
+        assert members == before
+        assert ingest.canonical_json(members) == ingest.canonical_json(before)
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy == node and type(copy.attrs) is type(node.attrs)
+    with pytest.raises(TypeError):
+        copy.refs["x"] = ()
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ landscape, about 4x when it doubles. The others count the bytes allocated at
 the peak of ``graph_fingerprint``, which streams the canonical document into
 the hash and so holds one object's text at a time, and of ``load_instance``,
 which decodes the document one object at a time and so never holds a JSON
-tree of the whole document. The last counts ``parse_minutes`` calls: one
-load parses each distinct timestamp string once, however often it occurs.
+tree of the whole document. One bounds the bytes a loaded graph keeps as a
+ratio to its text. The last counts ``parse_minutes`` calls: one load parses
+each distinct timestamp string once, however often it occurs.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 from collections import Counter
+
+import pytest
 
 from fixtures import compliant_document, failing_variants, prefixed
 from gdpr_engine import (
@@ -111,6 +115,46 @@ def test_load_memory_stays_near_the_text_size():
         tracemalloc.stop()
     assert len(graph) == 40 * len(objects)
     assert peak - retained < 1.5 * len(data), (peak, retained, len(data))
+
+
+def test_a_loaded_graph_is_smaller_than_its_text_allows():
+    """The graph a load returns keeps one string object per distinct value,
+    so ids its refs repeat, enumeration literals and repeated timestamps
+    cost one string each; a graph of fresh strings is about 2.5 times its
+    text."""
+    data = replicated(5)
+    load_instance(data)  # warm up: first-call allocations are not the graph's
+    tracemalloc.start()
+    try:
+        graph = load_instance(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(graph) > 1_000
+    assert retained < 1.8 * len(data), (retained, len(data))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller keeps its temporary arguments alive")
+def test_a_load_lets_the_input_bytes_go_before_the_scan(monkeypatch):
+    """A caller that passes its bytes as a temporary, as ``check`` passes
+    ``handle.read()``, holds only the decoded text while the objects are
+    scanned."""
+    size = len(replicated(5))
+    stream = ingest._stream_nodes
+    held = []
+
+    def spy(text, from_str):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return stream(text, from_str)
+
+    monkeypatch.setattr(ingest, "_stream_nodes", spy)
+    tracemalloc.start()
+    try:
+        load_instance(replicated(5))
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 1.3 * size, (held, size)
 
 
 def timestamp_slots(document: dict):
