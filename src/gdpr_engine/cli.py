@@ -83,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         profile = _load_profile_from_path(args.profile)
         with open(args.instance, "rb") as handle:
-            graph = load_instance(handle.read(), profile)
+            graph = load_instance(handle, profile)
         report = evaluate_all(graph, profile, check_date=args.check_date,
                               strict=args.strict_variability)
     except (LoadError, VariabilityError, TimestampError, OSError) as exc:

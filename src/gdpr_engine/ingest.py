@@ -18,11 +18,11 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import fields
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+import sys
+from dataclasses import MISSING, fields
+from typing import AbstractSet, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from . import model
-from .enums import ENUMERATIONS, TRANSFER_BASIS_KIND
 from .model import (
     BAD_LITERAL,
     BASIS_DEFAULTS,
@@ -61,6 +61,7 @@ ERROR_CODES = (
 )
 
 SUPPORTED_SCHEMA_VERSION = "1"
+_FROZEN_AT_IMPORT = gc.get_freeze_count() if sys.version_info >= (3, 12) else 0  # 3.12's own
 
 
 class LoadError(ValueError):
@@ -90,7 +91,7 @@ def _fail(code: str, message: str, **kw) -> "LoadError":
 # Instance documents
 # ---------------------------------------------------------------------------
 
-def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
+def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
     """Parse an instance document into a reference-resolved, validated graph.
 
     Enumeration literals are checked against the base sets plus the
@@ -103,17 +104,18 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
     path parses each distinct timestamp once, and the graph takes the
     minutes of those its nodes hold. Loading creates no reference cycles, so
     cyclic garbage collection is paused meanwhile. A successful load with the
-    collector enabled and nothing frozen (``gc.freeze``) then moves every
-    live object, the graph included, to the oldest generation.
+    collector enabled and nothing frozen (``gc.freeze``; on 3.12+, nothing
+    since the import) then moves every live object to the oldest generation.
 
     Each path keeps the strings its nodes hold through one table made for
-    the load, so equal strings are one object. The input bytes are let go
-    once decoded, so a temporary (``load_instance(handle.read())``) is freed
-    before the scan.
+    the load, so equal strings are one object. The input bytes, read here
+    from ``data`` if it is a binary file, are let go once decoded, so they
+    are freed before the scan (a temporary ``handle.read()`` only on 3.11+).
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
+        data = data.read() if hasattr(data, "read") else data
         text = _decode(data)
         from_str = isinstance(data, str)
         del data
@@ -133,7 +135,7 @@ def load_instance(data: bytes | str, profile=None) -> InstanceGraph:
             first = violations[0]
             raise LoadError(first.code, first.message, object_id=first.objectId,
                             violations=violations)
-        if enabled and not gc.get_freeze_count():
+        if enabled and gc.get_freeze_count() in (0, _FROZEN_AT_IMPORT):
             gc.freeze()  # then unfreeze: every live object joins the oldest generation
             gc.unfreeze()
         return graph
@@ -447,66 +449,90 @@ def _parse_timestamp(object_id: str, label: str, value: object,
               object_id=object_id)
 
 
-def _build_basis(object_id: str, raw: object, keep) -> TransferBasis:
-    if raw is None:
-        _fail(SCHEMA, "Data_Transfer.basis is required", object_id=object_id)
-    if not isinstance(raw, dict):
-        _fail(SCHEMA, "basis must be an object", object_id=object_id)
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in ENUMERATIONS[TRANSFER_BASIS_KIND]:
-        _fail(BAD_LITERAL, f"basis kind {kind!r} is not a transfer basis",
-              object_id=object_id)
-    allowed = BASIS_FIELDS[kind]
-    unknown = sorted(set(raw) - allowed - {"kind"})
-    if unknown:
-        _fail(SCHEMA, f"basis fields {', '.join(unknown)} do not belong to a "
-                      f"{kind} basis (exactly one variant may be populated)",
-              object_id=object_id)
-    kwargs: dict[str, object] = {"kind": keep(kind, kind)}
-    for name, default in BASIS_DEFAULTS:
-        if name not in raw:
-            continue
-        value = raw[name]
-        if isinstance(default, tuple):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                _fail(SCHEMA, f"basis.{name} must be a list of strings",
-                      object_id=object_id)
-            if name == "information":
-                value = sorted(set(value))
-            value = tuple(map(keep, value, value))
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                _fail(SCHEMA, f"basis.{name} must be a boolean", object_id=object_id)
-        elif not isinstance(value, str):
-            _fail(SCHEMA, f"basis.{name} must be a string", object_id=object_id)
-        kwargs[name] = keep(value, value) if type(value) is str else value
-    return TransferBasis(**kwargs)
+_STRINGS = "type(value) is not list or not all(type(v) is str for v in value)"
+# Per nested field kind: a condition true for a value to refuse, what it must
+# be (None: a timestamp, with its own error), and what is kept (literals: a set).
+_NESTED_CHECKS = {
+    "ts": ("type(value) is not str or value not in parsed", None, "keep(value, value)"),
+    "strs": (_STRINGS, "a list of strings", "tuple(map(keep, value, value))"),
+    "literals": (_STRINGS, "a list of strings", "tuple(sorted(set(map(keep, value, value))))"),
+    "bool": ("value is not True and value is not False", "a boolean", "value"),
+    "str": ("type(value) is not str", "a string", "keep(value, value)"),
+}
 
 
-def _build_consultation(object_id: str, raw: object, parsed: dict[str, int],
-                        keep) -> Consultation:
-    if not isinstance(raw, dict):
-        _fail(SCHEMA, "consultation must be an object", object_id=object_id)
-    unknown = sorted(set(raw) - {"requestedAt", "adviceAt", "extended"})
-    if unknown:
-        _fail(SCHEMA, f"consultation does not define: {', '.join(unknown)}",
-              object_id=object_id)
-    requested = raw.get("requestedAt")
-    if type(requested) is not str or requested not in parsed:
-        _parse_timestamp(object_id, "consultation.requestedAt", requested, parsed)
-    advice = raw.get("adviceAt")
-    if advice is not None and (type(advice) is not str or advice not in parsed):
-        _parse_timestamp(object_id, "consultation.adviceAt", advice, parsed)
-    extended = raw.get("extended", False)
-    if not isinstance(extended, bool):
-        _fail(SCHEMA, "consultation.extended must be a boolean",
-              object_id=object_id)
-    return Consultation(requestedAt=keep(requested, requested),
-                        adviceAt=None if advice is None else keep(advice, advice),
-                        extended=extended)
+def _nested_source(label: str, owner: type, members: Mapping[str, str], unknown: str,
+                   head: str = "") -> str:
+    """Source of ``decode(object_id, raw, parsed, keep)``, a new ``owner`` from
+    the dict ``raw`` after ``head``: keys outside ``KEYS`` fail, then each field
+    ``members`` gives a kind, in declaration order. Absent, a field is refused
+    if required, else defaults, as do a null timestamp and unkinded fields."""
+    lines = [f"def decode(object_id, raw, parsed, keep):\n{head}    if not raw.keys() <= KEYS:",
+             f"        _fail(SCHEMA, {unknown!r}.format(_unknown(raw.keys(), KEYS)),"
+             " object_id=object_id)", f"    new = object.__new__({owner.__name__})"]
+    for f in fields(owner):
+        kind, value, where = members.get(f.name), repr(f.default), f"{label}.{f.name}"
+        if kind is not None:
+            wrong, what, kept = _NESTED_CHECKS[kind]
+            read = [f"    value = raw.get({f.name!r})"]
+            if f.default is not MISSING:
+                read += (["    if value is not None:"] if kind == "ts" else [
+                    f"    if {f.name!r} not in raw:", f"        value = {value}", "    else:"])
+            pad = "        " if len(read) > 1 else "    "
+            lines += [*read, f"{pad}if {wrong}:", f"{pad}    " + (
+                f"_parse_timestamp(object_id, {where!r}, value, parsed)" if what is None
+                else f"_fail(SCHEMA, {f'{where} must be {what}'!r}, object_id=object_id)")]
+            lines += [f"{pad}value = {kept}"] if kept != "value" else []
+            value = "value"
+        lines.append(f"    SET_{f.name}(new, {value})")
+    return "\n".join(lines + ["    return new"]) + "\n"
 
 
-# The source of each generated codec, by (kind, wire class), for reading.
+def _nested_decoders(cls: str) -> dict[str, object]:
+    """``decode_basis`` or ``decode_consultation`` for the nested attr of
+    ``cls``. A basis goes to the decoder of its kind, which checks only the
+    kind's own fields; each is generated on its own, so each compiles small."""
+    (spec,) = NESTED_ATTRS[cls]
+    owner = TransferBasis if spec.kind == "basis" else Consultation
+    setters = {"SET_" + f.name: getattr(owner, f.name).__set__ for f in fields(owner)}
+    head = ("    if type(raw) is not dict:\n"
+            f"        _fail(SCHEMA, '{spec.kind} must be an object', object_id=object_id)\n")
+    if owner is Consultation:
+        source = _nested_source("consultation", owner, {
+            "requestedAt": "ts", "adviceAt": "ts", "extended": "bool"},
+            "consultation does not define: {}", head)
+        return {"decode_consultation": _create(("decode", "consultation"), source, {
+            **setters, "KEYS": frozenset(f.name for f in fields(owner))})}
+    kinds = {}
+    for kind, own in BASIS_FIELDS.items():
+        members = {name: "literals" if name == "information" else "strs" if type(default) is tuple
+                   else "bool" if type(default) is bool else "str"
+                   for name, default in BASIS_DEFAULTS if name in own}
+        source = _nested_source("basis", owner, {"kind": "str", **members},
+                                f"basis fields {{}} do not belong to a {kind} basis "
+                                "(exactly one variant may be populated)")
+        kinds[kind] = _create(("decode", f"basis {kind}"), source,
+                              {**setters, "KEYS": own | {"kind"}})
+    return {"decode_basis": _create(("decode", "basis"), (
+        "def decode(object_id, raw, parsed, keep):\n" + head + "    kind = raw.get('kind')\n"
+        "    if type(kind) is not str or kind not in BASIS:\n        _fail(BAD_LITERAL, "
+        "f'basis kind {kind!r} is not a transfer basis', object_id=object_id)\n"
+        "    return BASIS[kind](object_id, raw, parsed, keep)\n"), {"BASIS": kinds})}
+
+
+def _create(key: tuple[str, str], source: str, constants: Mapping[str, object],
+            returns: str = "decode"):
+    """``returns`` of ``source`` run as dataclasses._create_fn runs code: closed
+    over ``constants``, reading other names from this module. Keeps ``source``."""
+    _CODEC_SOURCE[key] = source
+    body = source.replace("\n", "\n    ")  # ends in the indent
+    factory = f"def create({', '.join(constants)}):\n    {body}return {returns}\n"
+    namespace: dict[str, object] = {}
+    exec(compile(factory, f"<{' '.join(key)}>", "exec"), globals(), namespace)
+    return namespace["create"](**constants)
+
+
+# The source of each generated codec, by (kind, wire class or nested kind), for reading.
 _CODEC_SOURCE: dict[tuple[str, str], str] = {}
 
 
@@ -517,21 +543,15 @@ class _Codecs(dict):
     is kept."""
 
     def __missing__(self, cls: str) -> tuple:
-        sources = {"decode": _decoder_source(cls), "encode": _encoder_source(cls)}
         attrs = CLASS_ATTRS[cls] + NESTED_ATTRS.get(cls, ())
         node_class = DATACLASS_FOR[cls]
         constants = {"NODE": node_class, "ATTRS": frozenset(s.name for s in attrs),
                      "REFS": frozenset(s.name for s in CLASS_REFS[cls]),
                      **{"SET_" + f.name: getattr(node_class, f.name).__set__  # slot setters
-                        for f in fields(node_class)}}
-        # As dataclasses._create_fn does: the codecs close over their class's
-        # constants and read every other name from this module.
-        body = "".join(sources.values()).replace("\n", "\n    ")  # ends in the indent
-        factory = f"def create({', '.join(constants)}):\n    {body}return decode, encode\n"
-        namespace: dict[str, object] = {}
-        exec(compile(factory, f"<codecs {cls}>", "exec"), globals(), namespace)
-        codecs = self[cls] = namespace["create"](**constants)
-        _CODEC_SOURCE.update({(kind, cls): source for kind, source in sources.items()})
+                        for f in fields(node_class)},
+                     **(_nested_decoders(cls) if cls in NESTED_ATTRS else {})}
+        codecs = self[cls] = (_create(("decode", cls), _decoder_source(cls), constants),
+                              _create(("encode", cls), _encoder_source(cls), {}, "encode"))
         return codecs
 
 
@@ -542,8 +562,6 @@ _CODECS = _Codecs()
 _ATTR_CHECKS = {"str": ("type({0}) is not str", "a string"),
                 "bool": ("{0} is not True and {0} is not False", "a boolean"),
                 "int": ("type({0}) is not int", "an integer")}
-_NESTED_CALLS = {"basis": "_build_basis(object_id, {0}, keep)",
-                 "consultation": "_build_consultation(object_id, {0}, parsed, keep)"}
 
 
 def _decoder_source(cls: str) -> str:
@@ -626,13 +644,14 @@ def _decoder_source(cls: str) -> str:
             fail(3, repr(f"{label} must hold an object id"))
             add(2, f"{value} = keep({value}, {value})")
     for spec in NESTED_ATTRS.get(cls, ()):
-        # A required nested attr is decoded even when absent, so that its
-        # decoder reports it.
-        args[spec.name] = "a_" + spec.name
-        build = _NESTED_CALLS[spec.kind].format(f"attrs.get({spec.name!r})")
-        if not spec.required:
-            build += f" if {spec.name!r} in attrs else {defaults[spec.name]}"
-        add(1, f"a_{spec.name} = {build}")
+        value, decode = "a_" + spec.name, f"decode_{spec.kind}(object_id, {{0}}, parsed, keep)"
+        if spec.required:  # absent or null; any other value is its decoder's to check
+            take("attrs", spec, value, f"{cls}.{spec.name}")
+            add(1, f"{value} = {decode.format(value)}")
+        else:
+            args[spec.name] = value
+            add(1, f"{value} = {decode.format(f'attrs[{spec.name!r}]')} "
+                   f"if {spec.name!r} in attrs else {defaults[spec.name]}")
     add(1, "node = object.__new__(NODE)")
     for f in node_fields:
         add(1, f"SET_{f.name}(node, {args.get(f.name, defaults[f.name])})")
@@ -644,13 +663,13 @@ def _decoder_source(cls: str) -> str:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-# Canonical JSON is what json.dumps(value, sort_keys=True,
-# separators=(",", ":"), ensure_ascii=False) prints; ``canonical_json`` writes
-# it for any JSON value. The graph's canonical document is the canonical JSON
-# of its wire form, written object by object by per-class encoders, so
-# neither the wire dicts nor the whole text are built to hash it.
+# Canonical JSON is what json.dumps(value, sort_keys=True, separators=(",",
+# ":"), ensure_ascii=False) prints; ``canonical_json`` writes it for any
+# acyclic JSON value (a cycle raises RecursionError). The graph's canonical
+# document is the canonical JSON of its wire form, written object by object
+# by per-class encoders, so neither the wire dicts nor the text are built.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  ensure_ascii=False).encode
+                                  ensure_ascii=False, check_circular=False).encode
 _encode_str = json.encoder.encode_basestring  # json.dumps' ensure_ascii=False escaper
 _JSON_BOOL = {True: "true", False: "false"}
 
@@ -683,19 +702,12 @@ def _encode_nested(value, plan) -> str:
                            and field != ()]) + "}"
 
 
-def _encode_basis(basis: TransferBasis) -> str:
-    return _encode_nested(basis, _BASIS_PLANS[basis.kind])
-
-
-def _encode_consultation(consultation: Consultation) -> str:
-    return _encode_nested(consultation, _CONSULTATION_PLAN)
-
-
 # The expression that writes an attr's value, by kind (a ``many`` one as a strlist).
 _ATTR_ENCODINGS = {"bool": "_JSON_BOOL[value]", "int": "int.__repr__(value)",
                    "str": "_encode_str(value)", "ts": "_encode_str(value)",
-                   "strlist": "_encode_strs(value)", "basis": "_encode_basis(value)",
-                   "consultation": "_encode_consultation(value)"}
+                   "strlist": "_encode_strs(value)",
+                   "basis": "_encode_nested(value, _BASIS_PLANS[value.kind])",
+                   "consultation": "_encode_nested(value, _CONSULTATION_PLAN)"}
 
 
 def _encoder_source(cls: str) -> str:

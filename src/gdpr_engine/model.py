@@ -81,7 +81,8 @@ class GenericNode(Node):
     refs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, slots=True)
 class TransferBasis:
     kind: str
     additionalRequirements: tuple[str, ...] = ()   # AdequacyDecision
@@ -100,7 +101,8 @@ BASIS_DEFAULTS = tuple((f.name, f.default) for f in fields(TransferBasis)
                        if f.name != "kind")
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, slots=True)
 class Consultation:
     requestedAt: str
     adviceAt: str | None = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -49,6 +49,7 @@ NOT_APPLICABLE = "NotApplicable"
 UNKNOWN = "Unknown"
 
 STATUSES = (PASS, FAIL, NOT_APPLICABLE, UNKNOWN)
+_FINDING_ORDER = operator.attrgetter("objectId", "message")  # of a verdict's findings
 
 PUBLIC_AUTHORITY_KINDS = frozenset({"OFFICIAL", "PUBLIC_ORGANIZATION"})
 
@@ -184,6 +185,9 @@ class RuleSpec:
     summary: str
     predicate: Callable[["EvalContext"], tuple[str, list[Finding]]]
     origin: str = "generic"  # "generic" | "variation"
+    # Its Pass and NotApplicable verdicts with no findings or hook dependencies,
+    # built once and shared by every report.
+    constants: Mapping[str, RuleVerdict] = field(kw_only=True, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +454,7 @@ def _register(table: dict[str, RuleSpec], rule_id: str, articles: tuple[int, ...
             summary=summary,
             predicate=fn,
             origin=origin,
+            constants={s: RuleVerdict(rule_id, s, articles) for s in (PASS, NOT_APPLICABLE)},
         )
         return fn
     return wrap
@@ -467,8 +472,7 @@ def _status(instances: Sequence, failures: list[Finding],
             notes: list[Finding] | None = None) -> tuple[str, list[Finding]]:
     if not instances:
         return NOT_APPLICABLE, []
-    findings = sorted(failures + (notes or []),
-                      key=operator.attrgetter("objectId", "message"))
+    findings = sorted(failures + (notes or []), key=_FINDING_ORDER)
     return (FAIL if failures else PASS), findings
 
 
@@ -1737,6 +1741,8 @@ def _v20(ctx: EvalContext) -> tuple[str, list[Finding]]:
 def _run_rule(spec: RuleSpec, ctx: EvalContext) -> RuleVerdict:
     ctx.begin_rule()
     status, findings = spec.predicate(ctx)
+    if not (findings or ctx.defaulted_hooks) and status in spec.constants:
+        return spec.constants[status]
     defaulted = tuple(sorted(ctx.defaulted_hooks))
     if ctx.strict and defaulted:
         # Any verdict shaped by a defaulted hook is uncertain, including
@@ -1760,7 +1766,7 @@ def _run_gated(specs: Sequence[RuleSpec], ctx: EvalContext) -> list[RuleVerdict]
     gate_closed = False
     for spec in specs:
         if gate_closed:
-            verdicts.append(RuleVerdict(spec.id, NOT_APPLICABLE, spec.articles))
+            verdicts.append(spec.constants[NOT_APPLICABLE])
             continue
         verdict = _run_rule(spec, ctx)
         gate_closed = spec.id == "C1" and verdict.status == NOT_APPLICABLE

@@ -12,10 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gdpr_engine import enums, graph_fingerprint, load_instance, serialize_instance
+from gdpr_engine.ingest import canonical_json
 from gdpr_engine.model import BASIS_FIELDS, GENERIC_CLASSES
 
 TRICKY = '"\\\x00\x1f\x7f\u2028\u2029\u00e9\uffff\U0001F600/\nab'
@@ -145,3 +147,17 @@ def test_serialization_is_canonical_stable_and_hashed_as_written(document,
 
     assert graph_fingerprint(graph) == \
         hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_canonical_json_of_a_cyclic_value_raises():
+    """The encoder keeps no record of the containers it is inside, so a
+    cycle recurses until the interpreter's limit stops it."""
+    looped: list = [1]
+    looped.append(looped)
+    nested = {"a": [{"b": None}]}
+    nested["a"][0]["b"] = nested
+    for value in (looped, nested):
+        with pytest.raises(RecursionError):
+            canonical_json(value)
+    assert canonical_json({"b": [1, {"a": "\u00e9"}], "a": None}) \
+        == '{"a":null,"b":[1,{"a":"\u00e9"}]}'

@@ -7,7 +7,9 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import pickle
+import subprocess
 import sys
 from unittest import mock
 
@@ -550,9 +552,8 @@ def test_no_collection_runs_during_a_load(gc_enabled):
 
 
 def fresh_generations() -> None:
-    """Collect everything, then empty the permanent generation: Python
-    3.12's collector parks immortal objects there, and a load leaves a
-    non-empty permanent generation alone as a caller's frozen objects."""
+    """Collect everything, then empty the permanent generation, where a load
+    leaves alone what a caller froze after importing the engine."""
     gc.collect()
     gc.unfreeze()
 
@@ -603,6 +604,41 @@ def test_only_a_successful_load_promotes_young_objects(gc_enabled, loads):
     except LoadError as error:
         assert not loads and error.code == "INVARIANT"
     assert in_generation(2, [sentinel]) == [loads]
+
+
+# A fresh interpreter: on 3.12 it has frozen objects of its own before the
+# engine is imported, which a load moves to the oldest generation with the
+# graph; what the caller freezes after the import stays frozen.
+FRESH_PROMOTION = """
+import gc
+from fixtures import compliant_document, document_bytes
+from gdpr_engine import load_instance
+
+def in_oldest(graph):
+    members = {id(o) for o in gc.get_objects(generation=2)}
+    return [id(node) in members for node in graph]
+
+data = document_bytes(compliant_document())
+gc.collect()
+assert all(in_oldest(load_instance(data)))
+assert gc.get_freeze_count() == 0
+gc.freeze()
+frozen = gc.get_freeze_count()
+graph = load_instance(data)
+assert gc.get_freeze_count() == frozen
+assert not any(in_oldest(graph))
+"""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="before 3.12 the interpreter freezes nothing of its own")
+def test_a_fresh_interpreters_load_promotes_and_keeps_later_freezes():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    done = subprocess.run([sys.executable, "-c", FRESH_PROMOTION],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +28,11 @@ from gdpr_engine.rules import (
     PASS,
     RULE_CATALOG,
     UNKNOWN,
+    RuleVerdict,
     UnknownRuleError,
     _represented_in_eu,
 )
+from gdpr_engine.ingest import load_profile
 from gdpr_engine.variability import Resolution, build_profile
 
 EUR = 100  # cents
@@ -530,3 +533,39 @@ def test_represented_document_exercises_every_indexed_lookup(generic_profile):
     assert ctx.notification_for(graph["p1"], "ERASURE").id == "note_erase"
     assert [n.id for n in graph.referrers("ctrl", "Code_Of_Conduct",
                                           "holder")] == ["coc1"]
+
+
+# ---------------------------------------------------------------------------
+# Constant verdicts
+# ---------------------------------------------------------------------------
+
+BENCHMARK_PROFILES = sorted(
+    (Path(__file__).resolve().parents[1] / "checkbench" / "profiles").glob("*.json"))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("path", BENCHMARK_PROFILES, ids=lambda path: path.stem)
+def test_only_verdicts_with_findings_or_hook_dependencies_are_built(monkeypatch, path,
+                                                                   strict):
+    """A verdict without findings or hook dependencies is a constant of its
+    rule: evaluations build none and share it."""
+    profile = build_profile(load_profile(path.read_bytes()))
+    graph = load_instance(document_bytes(compliant_document()), profile)
+    built = []
+    build = RuleVerdict.__init__
+
+    def counted(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RuleVerdict, "__init__", counted)
+        reports = [evaluate_all(graph, profile, strict=strict) for _ in range(2)]
+    carrying = [v for report in reports for v in report.verdicts
+                if v.findings or v.hookDependencies]
+    assert [id(v) for v in built] == [id(v) for v in carrying]
+    first, second = (report.verdicts for report in reports)
+    assert first == second
+    shared = [a is b for a, b in zip(first, second)]
+    assert shared == [not (v.findings or v.hookDependencies) for v in first]
+    assert any(shared)

@@ -157,6 +157,31 @@ def test_a_load_lets_the_input_bytes_go_before_the_scan(monkeypatch):
     assert held[0] < 1.3 * size, (held, size)
 
 
+def test_a_load_from_a_binary_file_frees_the_bytes_before_the_scan(monkeypatch, tmp_path):
+    """``check`` hands ``load_instance`` its open file, whose bytes the load
+    reads and drops once decoded: on every version, only the decoded text
+    of the document is held while the objects are scanned."""
+    path = tmp_path / "landscape.json"
+    path.write_bytes(replicated(5))
+    size = path.stat().st_size
+    stream = ingest._stream_nodes
+    held = []
+
+    def spy(text, from_str):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return stream(text, from_str)
+
+    monkeypatch.setattr(ingest, "_stream_nodes", spy)
+    with open(path, "rb") as handle:
+        tracemalloc.start()
+        try:
+            graph = load_instance(handle)
+        finally:
+            tracemalloc.stop()
+    assert len(graph) > 1_000
+    assert held[0] < 1.3 * size, (held, size)
+
+
 def timestamp_slots(document: dict):
     """(holder dict, key) of every timestamp in ``document``: each attr of
     kind ``ts`` and the consultation's two instants."""
