@@ -150,8 +150,16 @@ def cmd_glossary(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, also in subcommands: 2 means an Unknown verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gdpr-engine",
         description="Evaluate GDPR compliance rules over an instance model.",
     )

@@ -97,15 +97,17 @@ def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
     Enumeration literals are checked against the base sets plus the
     extensions of ``profile`` when one is given.
 
-    The document is decoded one object at a time: each raw object is dropped
-    as soon as its node is built, and the text before the graph is built, so
-    no JSON tree of the whole document is ever held. A document the stream
-    cannot load is read again whole, which reports its first error. Each
-    path parses each distinct timestamp once, and the graph takes the
-    minutes of those its nodes hold. Loading creates no reference cycles, so
-    cyclic garbage collection is paused meanwhile. A successful load with the
-    collector enabled and nothing frozen (``gc.freeze``; on 3.12+, nothing
-    since the import) then moves every live object to the oldest generation.
+    A text longer than 256 KiB (``_SCAN_WHOLE``) is decoded one object at a
+    time, each raw object dropped once its node is built and the text before
+    the graph is built, so no JSON tree of the whole document is held; a
+    shorter one, whose tree is small, has its objects read in one call. A
+    document the stream cannot load is read again whole, which reports its
+    first error. Each path parses each distinct timestamp once, and the
+    graph takes the minutes of those its nodes hold. Loading creates no
+    reference cycles, so cyclic garbage collection is paused meanwhile. A
+    successful load with the collector enabled and nothing frozen
+    (``gc.freeze``; on 3.12+, nothing since the import) then moves every
+    live object to the oldest generation.
 
     Each path keeps the strings its nodes hold through one table made for
     the load, so equal strings are one object. The input bytes, read here
@@ -225,18 +227,21 @@ _INSTANCE_KEYS = frozenset({"schemaVersion", "objects"})
 _SPACE = frozenset(" \t\n\r")  # JSON whitespace
 _skip_space = json.decoder.WHITESPACE.match
 _scan_key = json.decoder.scanstring  # the C string reader the scanner uses
+_SCAN_WHOLE = 256 * 1024  # the longest text whose objects are read in one call
 
 
 def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]] | None:
-    """The nodes of an instance document, decoded one object at a time, and
-    the minutes of each timestamp they hold.
+    """The nodes of an instance document and the minutes of each timestamp
+    they hold.
 
     Keys are read with the scanner's string reader and values with
     ``_DECODER.scan_once``, the scanner and number hooks that
     ``_DECODER.decode`` uses, so each element of ``objects`` is the dict a
-    whole-document parse would hold. It is built into its node and dropped:
-    a well-formed envelope of a typed class named exactly goes straight to
-    its decoder, any other object through ``_build_node``.
+    whole-document parse would hold, and ``_object_node`` builds its node.
+    A text of at most ``_SCAN_WHOLE`` characters has its ``objects`` array
+    read in one call: its JSON tree, about 5x the text, stays under about
+    1.4 MB. A longer text is read one object at a time, each dropped once
+    built, so its load never holds more than one object's tree.
 
     Returns None, and never raises, for a document that might not load
     this way: a syntax error anywhere, a root that is not an object, a
@@ -279,36 +284,32 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
             else:
                 if text[pos:pos + 1] != "[":
                     return None
-                nodes = []
-                pos = _skip_space(text, pos + 1).end()
-                char = text[pos:pos + 1]
-                while char != "]":
-                    raw, pos = scan(text, pos)
-                    # The class is tested for a str before it is hashed.
-                    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
-                            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
-                            and type(object_id := raw.get("id")) is str and object_id
-                            and type(attrs := raw.get("attrs", {})) is dict
-                            and type(refs := raw.get("refs", {})) is dict):
-                        nodes.append(_CODECS[cls][0](keep(object_id, object_id), attrs,
-                                                     refs, parsed, keep))
-                    else:
-                        nodes.append(_build_node(raw, len(nodes), parsed, keep))
-                    # A separator costs a regex match only when it holds
-                    # whitespace other than json.dumps' single space.
+                if len(text) <= _SCAN_WHOLE:  # its whole tree is small
+                    raws, pos = scan(text, pos)
+                    nodes = [_object_node(raw, position, parsed, keep)
+                             for position, raw in enumerate(raws)]
+                else:
+                    nodes = []
+                    pos = _skip_space(text, pos + 1).end()
                     char = text[pos:pos + 1]
-                    if char in _SPACE:
-                        pos = _skip_space(text, pos).end()
+                    while char != "]":
+                        raw, pos = scan(text, pos)
+                        nodes.append(_object_node(raw, len(nodes), parsed, keep))
+                        # A separator costs a regex match only when it holds
+                        # whitespace other than json.dumps' single space.
                         char = text[pos:pos + 1]
-                    if char == ",":
-                        pos += 1
-                        if text[pos:pos + 1] == " ":
-                            pos += 1
-                        if text[pos:pos + 1] in _SPACE:
+                        if char in _SPACE:
                             pos = _skip_space(text, pos).end()
-                    elif char != "]":
-                        return None
-                pos += 1
+                            char = text[pos:pos + 1]
+                        if char == ",":
+                            pos += 1
+                            if text[pos:pos + 1] == " ":
+                                pos += 1
+                            if text[pos:pos + 1] in _SPACE:
+                                pos = _skip_space(text, pos).end()
+                        elif char != "]":
+                            return None
+                    pos += 1
             pos = _skip_space(text, pos).end()
             char = text[pos:pos + 1]
             if char == "}":
@@ -324,6 +325,20 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     if nodes is None or _skip_space(text, pos + 1).end() != len(text):
         return None
     return nodes, parsed
+
+
+def _object_node(raw: object, position: int, parsed: dict[str, int], keep) -> Node:
+    """The node of a streamed element of ``objects``: a well-formed envelope
+    of a typed class named exactly goes straight to its decoder, any other
+    object through ``_build_node``."""
+    # The class is tested for a str before it is hashed.
+    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
+            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
+            and type(object_id := raw.get("id")) is str and object_id
+            and type(attrs := raw.get("attrs", {})) is dict
+            and type(refs := raw.get("refs", {})) is dict):
+        return _CODECS[cls][0](keep(object_id, object_id), attrs, refs, parsed, keep)
+    return _build_node(raw, position, parsed, keep)
 
 
 def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterator[Node]:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 from typing import Callable
+
+# The tailoring profiles of the benchmark, one document each.
+BENCHMARK_PROFILES = sorted(
+    (Path(__file__).resolve().parents[1] / "checkbench" / "profiles").glob("*.json"))
 
 BCR_INFORMATION = [
     "UNDERTAKING_STRUCTURE",

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from fixtures import (
+    BENCHMARK_PROFILES,
     LONE_SURROGATE_MUTATIONS,
     compliant_document,
     document_bytes,
@@ -137,6 +138,25 @@ def test_check_strict_mode_exits_two_on_unknown(instance_path, capsys):
     assert "Unknown" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("profile", BENCHMARK_PROFILES, ids=lambda path: path.stem)
+def test_check_exits_by_the_worst_verdict(profile, strict, tmp_path, capsys):
+    """1 exactly when a verdict is Fail, else 2 exactly when one is Unknown,
+    else 0: the fixture and each failing variant, under each profile."""
+    documents = {"compliant": compliant_document(), **failing_variants()}
+    assert len(documents) == 36
+    path = tmp_path / "instance.json"
+    codes = set()
+    for name, document in documents.items():
+        path.write_bytes(document_bytes(document))
+        code = main(["check", "--instance", str(path), "--profile", str(profile),
+                     "--format", "machine"] + ["--strict-variability"] * strict)
+        statuses = {v["status"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert code == (1 if "Fail" in statuses else 2 if "Unknown" in statuses else 0), name
+        codes.add(code)
+    assert 1 in codes
+
+
 def test_one_parser_serves_a_strict_check_and_then_a_plain_one(instance_path,
                                                                monkeypatch,
                                                                capsys):
@@ -165,6 +185,47 @@ def test_one_parser_serves_a_strict_check_and_then_a_plain_one(instance_path,
     cli._parser.cache_clear()
     assert together == alone
     assert built == [1]
+
+
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["audit"], "argument command: invalid choice: 'audit'"),
+    (["check"], "the following arguments are required: --instance"),
+    (["check", "--instance"], "argument --instance: expected one argument"),
+    (["check", "--instance", "x.json", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["check", "--instance", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["tailor"], "the following arguments are required: --profile"),
+    (["tailor", "--profile", "p.json", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["trace"], "the following arguments are required: identifier"),
+    (["trace", "C26", "C27"], "unrecognized arguments: C27"),
+    (["glossary"], "the following arguments are required: term"),
+    (["glossary", "--all", "Consent"], "unrecognized arguments: --all"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "nothing" for argv, _ in USAGE_ERRORS])
+def test_a_usage_error_exits_three_with_the_usage(argv, message, capsys):
+    """2 means an Unknown verdict, so a usage error is an input error."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gdpr-engine")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("gdpr-engine") and f": error: {message}" in last, last
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["tailor", "-h"],
+                                  ["trace", "--help"], ["glossary", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gdpr-engine")
 
 
 def test_an_internal_error_exits_three_with_its_traceback(instance_path):

@@ -329,6 +329,22 @@ def whole_document_outcome(data: bytes | str):
         return load_outcome(data)
 
 
+# A text of at most ``_SCAN_WHOLE`` characters has its objects array read in
+# one call, a longer one object by object; 0 sends every text through the
+# per-object loop.
+SCAN_LIMITS = (0, ingest._SCAN_WHOLE)
+
+
+def streamed_outcomes(data: bytes | str) -> list:
+    """``load_outcome`` with the objects array read object by object, then
+    in one call."""
+    outcomes = []
+    for limit in SCAN_LIMITS:
+        with mock.patch.object(ingest, "_SCAN_WHOLE", limit):
+            outcomes.append(load_outcome(data))
+    return outcomes
+
+
 @pytest.mark.parametrize("layout", [
     {}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")},
     {"separators": (" ,\r\n ", " : ")}, {"ensure_ascii": False},
@@ -347,14 +363,16 @@ def test_valid_documents_are_streamed_in_any_layout(monkeypatch, layout):
 
     monkeypatch.setattr(ingest, "_document_nodes", no_whole_document)
     monkeypatch.setattr(ingest, "_with_unique_ids", no_id_walk)
-    for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
-        assert serialize_instance(load_instance(source)) == expected
+    for limit in SCAN_LIMITS:
+        monkeypatch.setattr(ingest, "_SCAN_WHOLE", limit)
+        for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
+            assert serialize_instance(load_instance(source)) == expected
 
 
 def top_level_texts():
     """Instance texts whose top-level members vary: the objects among valid,
     wrong, unknown and repeated members, then faulty separators, leads and
-    tails."""
+    tails, then the separators between objects."""
     objects = '"objects": ' + json.dumps(compliant_document()["objects"])
     extras = ['"schemaVersion": "1"', '"schemaVersion": "2"', '"schemaVersion": 1',
               '"objects": []', '"objects": {}', '"zeta": []', '"zeta": 1']
@@ -373,13 +391,41 @@ def top_level_texts():
     yield '{"objects": [,]}'
     yield '{"objects": [ ]}'
     yield '{"objects": [] ,"schemaVersion":"1" }'
+    items = [json.dumps(o) for o in compliant_document()["objects"]]
+    for separator in (",", " ,\n\t", "", " ", "\n", ",,", "x", "]"):
+        yield '{"objects": [' + separator.join(items) + "]}"
+    for tail in (",", ", ", " ", "\n\t"):
+        yield '{"objects": [ ' + ", ".join(items) + tail + "]}"
 
 
 def test_top_level_members_load_as_a_whole_document_parse_does():
     for text in top_level_texts():
         data = text.encode("utf-8")
-        assert load_outcome(data) == whole_document_outcome(data), \
+        assert streamed_outcomes(data) == [whole_document_outcome(data)] * 2, \
             text[:20] + " ... " + text[-40:]
+
+
+def test_a_short_text_scans_its_objects_in_one_call(monkeypatch):
+    """``scan_once`` reads the schemaVersion value, then the objects array
+    whole when the text is at most ``_SCAN_WHOLE`` long, else each object."""
+    document = compliant_document()
+    text = json.dumps(document)
+    assert len(text) <= ingest._SCAN_WHOLE
+    calls = []
+    scan = ingest._DECODER.scan_once
+
+    def counted(text, pos):
+        calls.append(text[pos])
+        return scan(text, pos)
+
+    monkeypatch.setattr(ingest._DECODER, "scan_once", counted)
+    expected = serialize_instance(load_instance(text))
+    for limit, scanned in [(ingest._SCAN_WHOLE, ['"', "["]), (len(text), ['"', "["]),
+                           (len(text) - 1, ['"'] + ["{"] * len(document["objects"]))]:
+        monkeypatch.setattr(ingest, "_SCAN_WHOLE", limit)
+        calls.clear()
+        assert serialize_instance(load_instance(text)) == expected
+        assert calls == scanned, limit
 
 
 def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():

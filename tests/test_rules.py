@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import pytest
 
 from conftest import load_doc
-from fixtures import compliant_document, document_bytes, failing_variants, find, obj
+from fixtures import (
+    BENCHMARK_PROFILES, compliant_document, document_bytes, failing_variants, find, obj,
+)
 from gdpr_engine import (
     check_applicability,
     check_child_consent,
@@ -538,10 +539,6 @@ def test_represented_document_exercises_every_indexed_lookup(generic_profile):
 # ---------------------------------------------------------------------------
 # Constant verdicts
 # ---------------------------------------------------------------------------
-
-BENCHMARK_PROFILES = sorted(
-    (Path(__file__).resolve().parents[1] / "checkbench" / "profiles").glob("*.json"))
-
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
 @pytest.mark.parametrize("path", BENCHMARK_PROFILES, ids=lambda path: path.stem)

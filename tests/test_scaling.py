@@ -6,11 +6,14 @@ returned by ``InstanceGraph.of_class`` plus the entries returned by
 whole class once per processing makes the count grow with the square of the
 landscape, about 4x when it doubles. The others count the bytes allocated at
 the peak of ``graph_fingerprint``, which streams the canonical document into
-the hash and so holds one object's text at a time, and of ``load_instance``,
-which decodes the document one object at a time and so never holds a JSON
-tree of the whole document. One bounds the bytes a loaded graph keeps as a
-ratio to its text. The last counts ``parse_minutes`` calls: one load parses
-each distinct timestamp string once, however often it occurs.
+the hash and so holds one object's text at a time, and of ``load_instance``.
+A text longer than ``_SCAN_WHOLE`` (256 KiB) is decoded one object at a
+time, so its load never holds a JSON tree of the whole document; a shorter
+one has its objects read in one call, and its whole tree, about 5 times the
+text, stays under 8 times ``_SCAN_WHOLE``. One bounds the bytes a loaded
+graph keeps as a ratio to its text. The last counts ``parse_minutes``
+calls: one load parses each distinct timestamp string once, however often
+it occurs.
 """
 
 from __future__ import annotations
@@ -98,14 +101,18 @@ def test_fingerprint_memory_does_not_grow_with_the_graph():
     assert peaks[40] < 1.5 * peaks[4], (peaks, sizes)
 
 
-def test_load_memory_stays_near_the_text_size():
-    """Beyond the graph it returns, a load holds little more than the
-    decoded text: a JSON tree of the whole document would be several times
-    the text's size."""
+def compliant_replicas(replicas: int) -> bytes:
+    """``replicas`` copies of the compliant document, each with its own id
+    prefix."""
     objects = compliant_document()["objects"]
-    document = {"schemaVersion": "1",
-                "objects": [prefixed(o, f"r{i}.") for i in range(40) for o in objects]}
-    data = json.dumps(document).encode("utf-8")
+    return json.dumps({"schemaVersion": "1",
+                       "objects": [prefixed(o, f"r{i}.") for i in range(replicas)
+                                   for o in objects]}).encode("utf-8")
+
+
+def load_transient_bytes(data: bytes) -> tuple[InstanceGraph, int]:
+    """The graph of ``data`` and the bytes its load held at its peak beyond
+    those the graph keeps."""
     load_instance(data)  # warm up: first-call allocations are not the load's
     tracemalloc.start()
     try:
@@ -113,8 +120,30 @@ def test_load_memory_stays_near_the_text_size():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(graph) == 40 * len(objects)
-    assert peak - retained < 1.5 * len(data), (peak, retained, len(data))
+    return graph, peak - retained
+
+
+def test_load_memory_stays_near_the_text_size():
+    """Beyond the graph it returns, a load of a text longer than
+    ``_SCAN_WHOLE`` holds little more than the decoded text: a JSON tree of
+    the whole document would be several times the text's size."""
+    data = compliant_replicas(40)
+    assert len(data) > ingest._SCAN_WHOLE  # so it is read object by object
+    graph, transient = load_transient_bytes(data)
+    assert len(graph) == 40 * len(compliant_document()["objects"])
+    assert transient < 1.5 * len(data), (transient, len(data))
+
+
+def test_a_text_read_in_one_call_keeps_its_tree_small():
+    """The longest text read in one call holds its whole JSON tree, about 5
+    times the text; the size rule keeps that under a fixed bound."""
+    replicas = 1
+    while len(compliant_replicas(replicas + 1)) <= ingest._SCAN_WHOLE:
+        replicas += 1
+    data = compliant_replicas(replicas)
+    graph, transient = load_transient_bytes(data)
+    assert len(graph) == replicas * len(compliant_document()["objects"])
+    assert transient < 8 * ingest._SCAN_WHOLE, (transient, len(data))
 
 
 def test_a_loaded_graph_is_smaller_than_its_text_allows():
