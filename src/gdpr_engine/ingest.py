@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import MISSING, fields
 from typing import AbstractSet, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from . import model
@@ -40,6 +39,7 @@ from .model import (
     TransferBasis,
     validate_graph,
 )
+from .records import MISSING
 from .registry import ABSTRACT_CLASSES, UnknownClassError, canonical_class_name
 from .timebase import TimestampError, TimestampRangeError, parse_minutes
 from .variability import (
@@ -485,21 +485,21 @@ def _nested_source(label: str, owner: type, members: Mapping[str, str], unknown:
     lines = [f"def decode(object_id, raw, parsed, keep):\n{head}    if not raw.keys() <= KEYS:",
              f"        _fail(SCHEMA, {unknown!r}.format(_unknown(raw.keys(), KEYS)),"
              " object_id=object_id)", f"    new = object.__new__({owner.__name__})"]
-    for f in fields(owner):
-        kind, value, where = members.get(f.name), repr(f.default), f"{label}.{f.name}"
+    for name, spec in owner.__record_fields__.items():
+        kind, value, where = members.get(name), repr(spec.default), f"{label}.{name}"
         if kind is not None:
             wrong, what, kept = _NESTED_CHECKS[kind]
-            read = [f"    value = raw.get({f.name!r})"]
-            if f.default is not MISSING:
+            read = [f"    value = raw.get({name!r})"]
+            if spec.default is not MISSING:
                 read += (["    if value is not None:"] if kind == "ts" else [
-                    f"    if {f.name!r} not in raw:", f"        value = {value}", "    else:"])
+                    f"    if {name!r} not in raw:", f"        value = {value}", "    else:"])
             pad = "        " if len(read) > 1 else "    "
             lines += [*read, f"{pad}if {wrong}:", f"{pad}    " + (
                 f"_parse_timestamp(object_id, {where!r}, value, parsed)" if what is None
                 else f"_fail(SCHEMA, {f'{where} must be {what}'!r}, object_id=object_id)")]
             lines += [f"{pad}value = {kept}"] if kept != "value" else []
             value = "value"
-        lines.append(f"    SET_{f.name}(new, {value})")
+        lines.append(f"    SET_{name}(new, {value})")
     return "\n".join(lines + ["    return new"]) + "\n"
 
 
@@ -509,7 +509,7 @@ def _nested_decoders(cls: str) -> dict[str, object]:
     kind's own fields; each is generated on its own, so each compiles small."""
     (spec,) = NESTED_ATTRS[cls]
     owner = TransferBasis if spec.kind == "basis" else Consultation
-    setters = {"SET_" + f.name: getattr(owner, f.name).__set__ for f in fields(owner)}
+    setters = {"SET_" + name: getattr(owner, name).__set__ for name in owner.__record_fields__}
     head = ("    if type(raw) is not dict:\n"
             f"        _fail(SCHEMA, '{spec.kind} must be an object', object_id=object_id)\n")
     if owner is Consultation:
@@ -517,7 +517,7 @@ def _nested_decoders(cls: str) -> dict[str, object]:
             "requestedAt": "ts", "adviceAt": "ts", "extended": "bool"},
             "consultation does not define: {}", head)
         return {"decode_consultation": _create(("decode", "consultation"), source, {
-            **setters, "KEYS": frozenset(f.name for f in fields(owner))})}
+            **setters, "KEYS": frozenset(owner.__record_fields__)})}
     kinds = {}
     for kind, own in BASIS_FIELDS.items():
         members = {name: "literals" if name == "information" else "strs" if type(default) is tuple
@@ -562,8 +562,8 @@ class _Codecs(dict):
         node_class = DATACLASS_FOR[cls]
         constants = {"NODE": node_class, "ATTRS": frozenset(s.name for s in attrs),
                      "REFS": frozenset(s.name for s in CLASS_REFS[cls]),
-                     **{"SET_" + f.name: getattr(node_class, f.name).__set__  # slot setters
-                        for f in fields(node_class)},
+                     **{"SET_" + name: getattr(node_class, name).__set__  # slot setters
+                        for name in node_class.__record_fields__},
                      **(_nested_decoders(cls) if cls in NESTED_ATTRS else {})}
         codecs = self[cls] = (_create(("decode", cls), _decoder_source(cls), constants),
                               _create(("encode", cls), _encoder_source(cls), {}, "encode"))
@@ -586,9 +586,9 @@ def _decoder_source(cls: str) -> str:
     slot of a new node, as the node class's ``__init__`` would. A string is
     kept by ``keep`` (the load's ``table.setdefault``) once checked. Values
     come from the JSON scanner, so exact type tests stand for isinstance."""
-    node_fields = fields(DATACLASS_FOR[cls])
+    node_fields = DATACLASS_FOR[cls].__record_fields__
     assert not hasattr(DATACLASS_FOR[cls], "__post_init__"), cls
-    defaults = {f.name: repr(f.default) for f in node_fields}
+    defaults = {name: repr(spec.default) for name, spec in node_fields.items()}
     args = {"id": "object_id", "cls": repr(cls)}  # field -> its value's source
     lines = ["def decode(object_id, attrs, refs, parsed, keep):"]
 
@@ -668,8 +668,8 @@ def _decoder_source(cls: str) -> str:
             add(1, f"{value} = {decode.format(f'attrs[{spec.name!r}]')} "
                    f"if {spec.name!r} in attrs else {defaults[spec.name]}")
     add(1, "node = object.__new__(NODE)")
-    for f in node_fields:
-        add(1, f"SET_{f.name}(node, {args.get(f.name, defaults[f.name])})")
+    for name in node_fields:
+        add(1, f"SET_{name}(node, {args.get(name, defaults[name])})")
     add(1, "return node")
     return "\n".join(lines) + "\n"
 

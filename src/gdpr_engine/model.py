@@ -5,10 +5,13 @@ references as object ids; traversal goes through the owning InstanceGraph.
 Field names deliberately mirror the wire schema (camelCase) so instance
 documents, in-memory objects, and findings all speak the same vocabulary.
 
-The typed node classes are generated from one field table
-(``CLASS_ATTRS``/``CLASS_REFS``, defaults in ``AttrSpec``) as frozen,
-slotted dataclasses. A ``GenericNode``'s ``attrs`` and ``refs`` are dicts;
-the loader builds them as ``ingest.ReadOnlyDict``, which refuses changes.
+The typed node classes are made with ``type()`` from one field table
+(``CLASS_ATTRS``/``CLASS_REFS``/``NESTED_ATTRS``, defaults in ``AttrSpec``)
+as frozen, slotted ``records.Record`` classes, not dataclasses. Still,
+``dataclasses.fields`` and ``replace`` work on them, loading ``dataclasses``
+on first use, and assignment raises ``dataclasses.FrozenInstanceError``.
+A ``GenericNode``'s ``attrs`` and ``refs`` are dicts; the loader builds them
+as ``ingest.ReadOnlyDict``, which refuses changes.
 
 Graphs are immutable after construction and safe for concurrent reads.
 A graph proves its references when it is built: one walk records every
@@ -20,11 +23,11 @@ decides whether violations abort a load.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields, make_dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 from . import enums
+from .records import Field, Record, record_class
 from .registry import ABSTRACT_CLASSES, TRACEABILITY
 from .timebase import TimestampError, parse_minutes
 
@@ -47,66 +50,31 @@ MEASURE_CLASSES = frozenset({"Technical", "Organizational"})
 CONSENT_GIVER_CLASSES = SUBJECT_CLASSES | {"Responsible_Parent"}
 
 
-def _sealed(node_class: type) -> type:
-    """``node_class`` with assignment and deletion refused for every name.
+Node = record_class("Node", __name__, (("id", "str"), ("cls", "str")))
+GenericNode = record_class("GenericNode", __name__, (
+    ("attrs", "Mapping[str, object]", Field(default_factory=dict)),
+    ("refs", "Mapping[str, tuple[str, ...]]", Field(default_factory=dict)),
+), base=Node, compile_init=True)
 
-    The ``__setattr__`` that ``dataclass(frozen=True, slots=True)`` writes
-    refers to the class before slots were added, so assigning a name that
-    is not a field raises a misleading ``TypeError`` from ``super()``.
-    """
-    node_class.__setattr__ = _refuse_assignment
-    node_class.__delattr__ = _refuse_deletion
-    return node_class
-
-
-def _refuse_assignment(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-@_sealed
-@dataclass(frozen=True, slots=True)
-class Node:
-    id: str
-    cls: str
-
-
-@_sealed
-@dataclass(frozen=True, slots=True)
-class GenericNode(Node):
-    attrs: Mapping[str, object] = field(default_factory=dict)
-    refs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-
-@_sealed
-@dataclass(frozen=True, slots=True)
-class TransferBasis:
-    kind: str
-    additionalRequirements: tuple[str, ...] = ()   # AdequacyDecision
-    evidence: tuple[str, ...] = ()                 # AdequacyDecision
-    information: tuple[str, ...] = ()              # BCR
-    approved: bool = False                         # BCR / SCC
-    legallyBinding: bool = False                   # BCR
-    authorized: bool = False                       # arrangement / instrument
-    derogation: str | None = None                  # Derogation
-    details: str = ""                              # Derogation
-
+_BASIS_ROWS = (
+    ("kind", "str"),
+    ("additionalRequirements", "tuple[str, ...]", ()),   # AdequacyDecision
+    ("evidence", "tuple[str, ...]", ()),                 # AdequacyDecision
+    ("information", "tuple[str, ...]", ()),              # BCR
+    ("approved", "bool", False),                         # BCR / SCC
+    ("legallyBinding", "bool", False),                   # BCR
+    ("authorized", "bool", False),                       # arrangement / instrument
+    ("derogation", "str | None", None),                  # Derogation
+    ("details", "str", ""),                              # Derogation
+)
+TransferBasis = record_class("TransferBasis", __name__, _BASIS_ROWS)
 
 # (name, default) of each basis field but the kind, in declaration order: a
 # tuple default means a list of strings, a bool a boolean, any other a string.
-BASIS_DEFAULTS = tuple((f.name, f.default) for f in fields(TransferBasis)
-                       if f.name != "kind")
+BASIS_DEFAULTS = tuple((name, default) for name, _, default in _BASIS_ROWS[1:])
 
-
-@_sealed
-@dataclass(frozen=True, slots=True)
-class Consultation:
-    requestedAt: str
-    adviceAt: str | None = None
-    extended: bool = False
+Consultation = record_class("Consultation", __name__, (
+    ("requestedAt", "str"), ("adviceAt", "str | None", None), ("extended", "bool", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +92,7 @@ _KIND_TYPES = {"str": str, "ts": str, "bool": bool, "int": int,
 _DERIVED = object()
 
 
-@dataclass(frozen=True)
-class AttrSpec:
+class AttrSpec(Record):
     name: str
     kind: str               # "str" | "bool" | "int" | "ts" | "strlist" | nested
     required: bool = False
@@ -153,8 +120,7 @@ class AttrSpec:
         return kind | None if self.optional else kind
 
 
-@dataclass(frozen=True)
-class RefSpec:
+class RefSpec(Record):
     name: str
     targets: frozenset[str] | None   # None: any registered class
     many: bool = False
@@ -384,17 +350,11 @@ def _node_class(name: str, *wire_classes: str) -> type[Node]:
     for wire in sorted(wire_classes):
         for spec in CLASS_ATTRS[wire] + NESTED_ATTRS.get(wire, ()) + CLASS_REFS[wire]:
             specs.setdefault(spec.field_name, spec)
-    node_class = make_dataclass(
-        name,
-        [(field_name, spec.annotation, field(default=spec.default))
-         for field_name, spec in specs.items()],
-        bases=(Node,), frozen=True, slots=True,
-        # Without it make_dataclass names the module "types" on 3.10/3.11,
-        # and the nodes would not pickle.
-        namespace={"__module__": __name__},
-    )
+    node_class = record_class(name, __name__, [
+        (field_name, spec.annotation, spec.default) for field_name, spec in specs.items()],
+        base=Node)
     DATACLASS_FOR.update(dict.fromkeys(sorted(wire_classes), node_class))
-    return _sealed(node_class)
+    return node_class
 
 
 Country = _node_class("Country", "Country")
@@ -622,8 +582,7 @@ BAD_LITERAL = "BAD_LITERAL"
 INVARIANT = "INVARIANT"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record, compile_init=True):
     code: str
     objectId: str
     message: str

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,6 +41,7 @@ from .model import (
     SecurityMeasure,
     TurnoverContext,
 )
+from .records import Field, Record
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -151,8 +151,7 @@ class FineClassificationError(ValueError):
     """Infringement kind has no Art. 83 fine tier."""
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record, compile_init=True):
     objectId: str
     message: str
 
@@ -160,8 +159,7 @@ class Finding:
         return {"object": self.objectId, "message": self.message}
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(Record, compile_init=True):
     ruleId: str
     status: str
     articles: tuple[int, ...]
@@ -178,8 +176,7 @@ class RuleVerdict:
         }
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(Record):
     id: str
     articles: tuple[int, ...]
     summary: str
@@ -187,7 +184,7 @@ class RuleSpec:
     origin: str = "generic"  # "generic" | "variation"
     # Its Pass and NotApplicable verdicts with no findings or hook dependencies,
     # built once and shared by every report.
-    constants: Mapping[str, RuleVerdict] = field(kw_only=True, repr=False, compare=False)
+    constants: Mapping[str, RuleVerdict] = Field(kw_only=True, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1799,8 +1796,7 @@ def _active_specs(profile) -> dict[str, RuleSpec]:
     return {spec.id: spec for spec in profile.rules()}
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(Record, compile_init=True):
     verdicts: tuple[RuleVerdict, ...]
     profileFingerprint: str
     graphFingerprint: str

@@ -16,12 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import enums
 from .model import DEFAULT_CHILD_AGE_LIMIT, Country, DataSubject, InstanceGraph
+from .records import Field, Record
 from .rules import (
     _V4_CATEGORIES,
     DEFAULT_HOOKS,
@@ -73,22 +73,19 @@ class ProfileConsistencyError(VariabilityError):
     """Cross-resolution consistency violated at finalize."""
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record, compile_init=True):
     variationId: str
-    parameters: Mapping[str, object] = field(default_factory=dict)
+    parameters: Mapping[str, object] = Field(default_factory=dict)
 
     _checked = False  # made by VariationPoint.resolve: params checked and frozen
 
 
-@dataclass(frozen=True)
-class Adaptation:
+class Adaptation(Record, compile_init=True):
     removedRights: frozenset[str] = frozenset()
     exemptProcessingTypes: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Record, compile_init=True):
     variationId: str
     artifact: str  # "model" | "constraints" | "glossary"
     action: str
@@ -243,8 +240,7 @@ def _table_map(vid: str, key: str, param: Param, value: object) -> Mapping:
 # Variation-point registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariationPoint:
+class VariationPoint(Record):
     id: str
     sourceArticle: int
     summary: str
@@ -258,7 +254,7 @@ class VariationPoint:
     parameterHooks: tuple[str, ...] = ()  # hooks realized by rule parameters
     # What applying any resolution of this point records; V5's adaptation
     # entries, which depend on its params, come before these.
-    audit: tuple[AuditEntry, ...] = field(init=False, repr=False, compare=False)
+    audit: tuple[AuditEntry, ...] = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         targets = ", ".join(self.hookTargets) or "added rules"

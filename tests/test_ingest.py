@@ -500,6 +500,12 @@ def test_equal_strings_of_a_loaded_graph_are_one_object(whole):
         else:
             graph = load_instance(data)
         assert repeated_strings(graph) == [], name
+        # The walker reaches into every node: it yields each object and ref id.
+        held = {text for node in graph for text in held_strings(node)}
+        ids = {raw["id"] for raw in document["objects"]}
+        ids.update(target for raw in document["objects"] for value in raw.get("refs", {}).values()
+                   for target in ([value] if isinstance(value, str) else value))
+        assert ids <= held, name
 
 
 def test_the_string_table_does_not_outlive_the_load():
