@@ -97,12 +97,12 @@ def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
     Enumeration literals are checked against the base sets plus the
     extensions of ``profile`` when one is given.
 
-    A text longer than 256 KiB (``_SCAN_WHOLE``) is decoded one object at a
+    A text of at most 256 KiB (``_SCAN_WHOLE``), whose JSON tree is small,
+    is parsed whole, in one call. A longer one is decoded one object at a
     time, each raw object dropped once its node is built and the text before
-    the graph is built, so no JSON tree of the whole document is held; a
-    shorter one, whose tree is small, has its objects read in one call. A
-    document the stream cannot load is read again whole, which reports its
-    first error. Each path parses each distinct timestamp once, and the
+    the graph is built, so no tree of the whole document is held; if the
+    stream cannot load it, it is parsed whole, which reports its first
+    error. Each path parses each distinct timestamp once, and the
     graph takes the minutes of those its nodes hold. Loading creates no
     reference cycles, so cyclic garbage collection is paused meanwhile. A
     successful load with the collector enabled and nothing frozen
@@ -122,7 +122,8 @@ def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
         from_str = isinstance(data, str)
         del data
         # A declined stream's minutes and strings are dropped with its nodes.
-        nodes, parsed = _stream_nodes(text, from_str) or (None, {})
+        streamed = _stream_nodes(text, from_str) if len(text) > _SCAN_WHOLE else None
+        nodes, parsed = streamed or (None, {})
         if nodes is None:
             nodes = _with_unique_ids(_document_nodes(text, from_str, parsed))
         del text
@@ -237,11 +238,10 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     Keys are read with the scanner's string reader and values with
     ``_DECODER.scan_once``, the scanner and number hooks that
     ``_DECODER.decode`` uses, so each element of ``objects`` is the dict a
-    whole-document parse would hold, and ``_object_node`` builds its node.
-    A text of at most ``_SCAN_WHOLE`` characters has its ``objects`` array
-    read in one call: its JSON tree, about 5x the text, stays under about
-    1.4 MB. A longer text is read one object at a time, each dropped once
-    built, so its load never holds more than one object's tree.
+    whole-document parse would hold, and ``_build_node`` builds its node.
+    ``load_instance`` streams only a text longer than ``_SCAN_WHOLE``, whose
+    JSON tree (about 5x the text) would cost memory: each object is dropped
+    once built, so the load never holds more than one object's tree.
 
     Returns None, and never raises, for a document that might not load
     this way: a syntax error anywhere, a root that is not an object, a
@@ -284,32 +284,27 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
             else:
                 if text[pos:pos + 1] != "[":
                     return None
-                if len(text) <= _SCAN_WHOLE:  # its whole tree is small
-                    raws, pos = scan(text, pos)
-                    nodes = [_object_node(raw, position, parsed, keep)
-                             for position, raw in enumerate(raws)]
-                else:
-                    nodes = []
-                    pos = _skip_space(text, pos + 1).end()
+                nodes = []
+                pos = _skip_space(text, pos + 1).end()
+                char = text[pos:pos + 1]
+                while char != "]":
+                    raw, pos = scan(text, pos)
+                    nodes.append(_build_node(raw, len(nodes), parsed, keep))
+                    # A separator costs a regex match only when it holds
+                    # whitespace other than json.dumps' single space.
                     char = text[pos:pos + 1]
-                    while char != "]":
-                        raw, pos = scan(text, pos)
-                        nodes.append(_object_node(raw, len(nodes), parsed, keep))
-                        # A separator costs a regex match only when it holds
-                        # whitespace other than json.dumps' single space.
+                    if char in _SPACE:
+                        pos = _skip_space(text, pos).end()
                         char = text[pos:pos + 1]
-                        if char in _SPACE:
-                            pos = _skip_space(text, pos).end()
-                            char = text[pos:pos + 1]
-                        if char == ",":
+                    if char == ",":
+                        pos += 1
+                        if text[pos:pos + 1] == " ":
                             pos += 1
-                            if text[pos:pos + 1] == " ":
-                                pos += 1
-                            if text[pos:pos + 1] in _SPACE:
-                                pos = _skip_space(text, pos).end()
-                        elif char != "]":
-                            return None
-                    pos += 1
+                        if text[pos:pos + 1] in _SPACE:
+                            pos = _skip_space(text, pos).end()
+                    elif char != "]":
+                        return None
+                pos += 1
             pos = _skip_space(text, pos).end()
             char = text[pos:pos + 1]
             if char == "}":
@@ -327,20 +322,6 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     return nodes, parsed
 
 
-def _object_node(raw: object, position: int, parsed: dict[str, int], keep) -> Node:
-    """The node of a streamed element of ``objects``: a well-formed envelope
-    of a typed class named exactly goes straight to its decoder, any other
-    object through ``_build_node``."""
-    # The class is tested for a str before it is hashed.
-    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
-            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
-            and type(object_id := raw.get("id")) is str and object_id
-            and type(attrs := raw.get("attrs", {})) is dict
-            and type(refs := raw.get("refs", {})) is dict):
-        return _CODECS[cls][0](keep(object_id, object_id), attrs, refs, parsed, keep)
-    return _build_node(raw, position, parsed, keep)
-
-
 def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterator[Node]:
     """The nodes of an instance document parsed whole, built one by one as
     they are drawn, or the LoadError of its first fault. The minutes of
@@ -350,9 +331,10 @@ def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterat
     several faults reports: syntax, a lone surrogate, the top-level keys,
     then each object in document order, where ``_with_unique_ids`` draws
     the nodes and checks each id before the next object is built. This path
-    runs only for a document ``_stream_nodes`` declined, mostly to report
-    its error; a document whose surrogate escapes are paired, or whose last
-    repeated ``objects`` key holds valid objects, still loads here.
+    reads every text of at most ``_SCAN_WHOLE`` characters, and a longer one
+    ``_stream_nodes`` declined, mostly to report its error; a document whose
+    surrogate escapes are paired, or whose last repeated ``objects`` key
+    holds valid objects, still loads here.
     """
     document = _parse_json(text)
     _reject_lone_surrogates(text, document, from_str=from_str)
@@ -388,6 +370,14 @@ def _unknown(names, allowed: frozenset[str]) -> str:
 
 def _build_node(raw: object, position: int, parsed: dict[str, int], keep) -> Node:
     """The node of ``raw``, its strings kept by ``keep``, or its first LoadError."""
+    # A well-formed envelope of a typed class named exactly goes straight to
+    # its decoder; the class is tested for a str before it is hashed.
+    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
+            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
+            and type(object_id := raw.get("id")) is str and object_id
+            and type(attrs := raw.get("attrs", {})) is dict
+            and type(refs := raw.get("refs", {})) is dict):
+        return _CODECS[cls][0](keep(object_id, object_id), attrs, refs, parsed, keep)
     if not isinstance(raw, dict):
         _fail(SCHEMA, f"objects[{position}] is not an object")
     if not raw.keys() <= _OBJECT_KEYS:
@@ -464,75 +454,70 @@ def _parse_timestamp(object_id: str, label: str, value: object,
               object_id=object_id)
 
 
-_STRINGS = "type(value) is not list or not all(type(v) is str for v in value)"
-# Per nested field kind: a condition true for a value to refuse, what it must
-# be (None: a timestamp, with its own error), and what is kept (literals: a set).
-_NESTED_CHECKS = {
-    "ts": ("type(value) is not str or value not in parsed", None, "keep(value, value)"),
-    "strs": (_STRINGS, "a list of strings", "tuple(map(keep, value, value))"),
-    "literals": (_STRINGS, "a list of strings", "tuple(sorted(set(map(keep, value, value))))"),
-    "bool": ("value is not True and value is not False", "a boolean", "value"),
-    "str": ("type(value) is not str", "a string", "keep(value, value)"),
-}
+# Per basis kind: the keys it admits, and each of its own fields with its
+# default, in declaration order.
+_BASIS_KINDS = {kind: (own | {"kind"}, tuple(row for row in BASIS_DEFAULTS if row[0] in own))
+                for kind, own in BASIS_FIELDS.items()}
 
 
-def _nested_source(label: str, owner: type, members: Mapping[str, str], unknown: str,
-                   head: str = "") -> str:
-    """Source of ``decode(object_id, raw, parsed, keep)``, a new ``owner`` from
-    the dict ``raw`` after ``head``: keys outside ``KEYS`` fail, then each field
-    ``members`` gives a kind, in declaration order. Absent, a field is refused
-    if required, else defaults, as do a null timestamp and unkinded fields."""
-    lines = [f"def decode(object_id, raw, parsed, keep):\n{head}    if not raw.keys() <= KEYS:",
-             f"        _fail(SCHEMA, {unknown!r}.format(_unknown(raw.keys(), KEYS)),"
-             " object_id=object_id)", f"    new = object.__new__({owner.__name__})"]
-    for name, spec in owner.__record_fields__.items():
-        kind, value, where = members.get(name), repr(spec.default), f"{label}.{name}"
-        if kind is not None:
-            wrong, what, kept = _NESTED_CHECKS[kind]
-            read = [f"    value = raw.get({name!r})"]
-            if spec.default is not MISSING:
-                read += (["    if value is not None:"] if kind == "ts" else [
-                    f"    if {name!r} not in raw:", f"        value = {value}", "    else:"])
-            pad = "        " if len(read) > 1 else "    "
-            lines += [*read, f"{pad}if {wrong}:", f"{pad}    " + (
-                f"_parse_timestamp(object_id, {where!r}, value, parsed)" if what is None
-                else f"_fail(SCHEMA, {f'{where} must be {what}'!r}, object_id=object_id)")]
-            lines += [f"{pad}value = {kept}"] if kept != "value" else []
-            value = "value"
-        lines.append(f"    SET_{name}(new, {value})")
-    return "\n".join(lines + ["    return new"]) + "\n"
+def decode_basis(object_id: str, raw: object, parsed: dict[str, int], keep) -> TransferBasis:
+    """The ``basis`` of a Data_Transfer: a known kind, then only that kind's
+    fields, each checked in declaration order and defaulting when absent.
+    A tuple default means a list of strings (``information``'s a set of
+    literals), a bool a boolean, any other a string."""
+    if type(raw) is not dict:
+        _fail(SCHEMA, "basis must be an object", object_id=object_id)
+    kind = raw.get("kind")
+    if type(kind) is not str or kind not in _BASIS_KINDS:
+        _fail(BAD_LITERAL, f"basis kind {kind!r} is not a transfer basis", object_id=object_id)
+    keys, own = _BASIS_KINDS[kind]
+    if not raw.keys() <= keys:
+        _fail(SCHEMA, f"basis fields {_unknown(raw.keys(), keys)} do not belong to a {kind} "
+                      "basis (exactly one variant may be populated)", object_id=object_id)
+    fields = {}
+    for name, default in own:
+        value = raw.get(name, MISSING)
+        if value is MISSING:
+            continue
+        if type(default) is tuple:
+            if type(value) is not list or not all(type(item) is str for item in value):
+                _fail(SCHEMA, f"basis.{name} must be a list of strings", object_id=object_id)
+            value = tuple(map(keep, value, value))
+            if name == "information":
+                value = tuple(sorted(set(value)))
+        elif type(default) is bool:
+            if value is not True and value is not False:
+                _fail(SCHEMA, f"basis.{name} must be a boolean", object_id=object_id)
+        elif type(value) is not str:
+            _fail(SCHEMA, f"basis.{name} must be a string", object_id=object_id)
+        else:
+            value = keep(value, value)
+        fields[name] = value
+    return TransferBasis(keep(kind, kind), **fields)
 
 
-def _nested_decoders(cls: str) -> dict[str, object]:
-    """``decode_basis`` or ``decode_consultation`` for the nested attr of
-    ``cls``. A basis goes to the decoder of its kind, which checks only the
-    kind's own fields; each is generated on its own, so each compiles small."""
-    (spec,) = NESTED_ATTRS[cls]
-    owner = TransferBasis if spec.kind == "basis" else Consultation
-    setters = {"SET_" + name: getattr(owner, name).__set__ for name in owner.__record_fields__}
-    head = ("    if type(raw) is not dict:\n"
-            f"        _fail(SCHEMA, '{spec.kind} must be an object', object_id=object_id)\n")
-    if owner is Consultation:
-        source = _nested_source("consultation", owner, {
-            "requestedAt": "ts", "adviceAt": "ts", "extended": "bool"},
-            "consultation does not define: {}", head)
-        return {"decode_consultation": _create(("decode", "consultation"), source, {
-            **setters, "KEYS": frozenset(owner.__record_fields__)})}
-    kinds = {}
-    for kind, own in BASIS_FIELDS.items():
-        members = {name: "literals" if name == "information" else "strs" if type(default) is tuple
-                   else "bool" if type(default) is bool else "str"
-                   for name, default in BASIS_DEFAULTS if name in own}
-        source = _nested_source("basis", owner, {"kind": "str", **members},
-                                f"basis fields {{}} do not belong to a {kind} basis "
-                                "(exactly one variant may be populated)")
-        kinds[kind] = _create(("decode", f"basis {kind}"), source,
-                              {**setters, "KEYS": own | {"kind"}})
-    return {"decode_basis": _create(("decode", "basis"), (
-        "def decode(object_id, raw, parsed, keep):\n" + head + "    kind = raw.get('kind')\n"
-        "    if type(kind) is not str or kind not in BASIS:\n        _fail(BAD_LITERAL, "
-        "f'basis kind {kind!r} is not a transfer basis', object_id=object_id)\n"
-        "    return BASIS[kind](object_id, raw, parsed, keep)\n"), {"BASIS": kinds})}
+_CONSULTATION_KEYS = frozenset(Consultation.__record_fields__)
+
+
+def decode_consultation(object_id: str, raw: object, parsed: dict[str, int],
+                        keep) -> Consultation:
+    """The ``consultation`` of an assessment: ``requestedAt`` a timestamp,
+    ``adviceAt`` one or null, ``extended`` a boolean, checked in that order."""
+    if type(raw) is not dict:
+        _fail(SCHEMA, "consultation must be an object", object_id=object_id)
+    if not raw.keys() <= _CONSULTATION_KEYS:
+        _fail(SCHEMA, "consultation does not define: "
+                      + _unknown(raw.keys(), _CONSULTATION_KEYS), object_id=object_id)
+    requested, advice = raw.get("requestedAt"), raw.get("adviceAt")
+    if type(requested) is not str or requested not in parsed:
+        _parse_timestamp(object_id, "consultation.requestedAt", requested, parsed)
+    if advice is not None and (type(advice) is not str or advice not in parsed):
+        _parse_timestamp(object_id, "consultation.adviceAt", advice, parsed)
+    extended = raw.get("extended", False)
+    if extended is not True and extended is not False:
+        _fail(SCHEMA, "consultation.extended must be a boolean", object_id=object_id)
+    return Consultation(keep(requested, requested),
+                        advice if advice is None else keep(advice, advice), extended)
 
 
 def _create(key: tuple[str, str], source: str, constants: Mapping[str, object],
@@ -547,7 +532,7 @@ def _create(key: tuple[str, str], source: str, constants: Mapping[str, object],
     return namespace["create"](**constants)
 
 
-# The source of each generated codec, by (kind, wire class or nested kind), for reading.
+# The source of each generated codec, by (kind, wire class), for reading.
 _CODEC_SOURCE: dict[tuple[str, str], str] = {}
 
 
@@ -563,8 +548,7 @@ class _Codecs(dict):
         constants = {"NODE": node_class, "ATTRS": frozenset(s.name for s in attrs),
                      "REFS": frozenset(s.name for s in CLASS_REFS[cls]),
                      **{"SET_" + name: getattr(node_class, name).__set__  # slot setters
-                        for name in node_class.__record_fields__},
-                     **(_nested_decoders(cls) if cls in NESTED_ATTRS else {})}
+                        for name in node_class.__record_fields__}}
         codecs = self[cls] = (_create(("decode", cls), _decoder_source(cls), constants),
                               _create(("encode", cls), _encoder_source(cls), {}, "encode"))
         return codecs
@@ -582,10 +566,11 @@ _ATTR_CHECKS = {"str": ("type({0}) is not str", "a string"),
 def _decoder_source(cls: str) -> str:
     """Source of ``decode(object_id, attrs, refs, parsed, keep)`` for the
     typed wire class ``cls``: it checks unknown attrs, unknown refs, each attr
-    and ref in table order, then the nested attrs, and writes each field's
-    slot of a new node, as the node class's ``__init__`` would. A string is
-    kept by ``keep`` (the load's ``table.setdefault``) once checked. Values
-    come from the JSON scanner, so exact type tests stand for isinstance."""
+    and ref in table order, then the nested attrs (by ``decode_basis`` or
+    ``decode_consultation``), and writes each field's slot of a new node, as
+    the node class's ``__init__`` would. A string is kept by ``keep`` (the
+    load's ``table.setdefault``) once checked. Values come from the JSON
+    scanner, so exact type tests stand for isinstance."""
     node_fields = DATACLASS_FOR[cls].__record_fields__
     assert not hasattr(DATACLASS_FOR[cls], "__post_init__"), cls
     defaults = {name: repr(spec.default) for name, spec in node_fields.items()}

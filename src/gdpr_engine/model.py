@@ -7,7 +7,8 @@ documents, in-memory objects, and findings all speak the same vocabulary.
 
 The typed node classes are made with ``type()`` from one field table
 (``CLASS_ATTRS``/``CLASS_REFS``/``NESTED_ATTRS``, defaults in ``AttrSpec``)
-as frozen, slotted ``records.Record`` classes, not dataclasses. Still,
+as frozen, slotted ``records.Record`` classes, not dataclasses; each compiles
+its ``__init__`` when first constructed, which the loader does not call. Still,
 ``dataclasses.fields`` and ``replace`` work on them, loading ``dataclasses``
 on first use, and assignment raises ``dataclasses.FrozenInstanceError``.
 A ``GenericNode``'s ``attrs`` and ``refs`` are dicts; the loader builds them
@@ -54,7 +55,7 @@ Node = record_class("Node", __name__, (("id", "str"), ("cls", "str")))
 GenericNode = record_class("GenericNode", __name__, (
     ("attrs", "Mapping[str, object]", Field(default_factory=dict)),
     ("refs", "Mapping[str, tuple[str, ...]]", Field(default_factory=dict)),
-), base=Node, compile_init=True)
+), base=Node)
 
 _BASIS_ROWS = (
     ("kind", "str"),
@@ -582,7 +583,7 @@ BAD_LITERAL = "BAD_LITERAL"
 INVARIANT = "INVARIANT"
 
 
-class Violation(Record, compile_init=True):
+class Violation(Record):
     code: str
     objectId: str
     message: str

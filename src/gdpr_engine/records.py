@@ -1,15 +1,17 @@
 """Frozen records without ``dataclasses``: ``Record`` subclasses declare
 fields as dataclasses do, or ``record_class`` makes slotted ones from rows.
-Only a class made with ``compile_init=True`` (one built during a check) gets
-a compiled ``__init__``. ``dataclasses`` is imported only to raise
-``FrozenInstanceError`` or to build, on first read, the
-``__dataclass_fields__`` that ``dataclasses.fields`` and ``replace`` read.
+Each class compiles its own ``__init__`` from its field table the first
+time it is constructed, so a class never constructed compiles none.
+``dataclasses`` is imported only to raise ``FrozenInstanceError`` or to
+build, on first read, the ``__dataclass_fields__`` that ``dataclasses.fields``
+and ``replace`` read.
 """
 
 from __future__ import annotations
 
 import reprlib
 from operator import attrgetter
+from types import MemberDescriptorType
 
 MISSING = object()
 
@@ -47,7 +49,7 @@ class Record:
     __match_args__: tuple[str, ...] = ()
     __dataclass_fields__ = _DataclassFields()
 
-    def __init_subclass__(cls, defaults: dict | None = None, compile_init: bool = False):
+    def __init_subclass__(cls, defaults: dict | None = None):
         """Reads the class's own fields off its annotations. A default is the
         class value, or in ``defaults``, where slots leave no class value."""
         table = dict(cls.__record_fields__)
@@ -59,29 +61,7 @@ class Record:
         cls.__match_args__ = tuple(n for n, spec in table.items() if spec.init and not spec.kw_only)
         cls._compared = attrgetter(*[n for n, spec in table.items() if spec.compare])
         cls._shown = [n for n, spec in table.items() if spec.repr]
-        if compile_init:
-            cls.__init__ = _compiled_init(cls)
-
-    def __init__(self, *args, **kwargs) -> None:
-        """Each field from ``args`` in ``__match_args__`` order, ``kwargs``
-        or its default; then ``__post_init__``, if the class has one."""
-        cls = type(self)
-        given = dict(zip(cls.__match_args__, args))
-        if len(given) < len(args) or given.keys() & kwargs.keys():
-            raise TypeError(f"{cls.__qualname__}() got too many or repeated arguments")
-        given.update(kwargs)
-        for name, spec in cls.__record_fields__.items():
-            value = given.pop(name, spec.default) if spec.init else spec.default
-            if value is MISSING and spec.default_factory is not MISSING:
-                value = spec.default_factory()
-            if value is not MISSING:
-                object.__setattr__(self, name, value)
-            elif spec.init:
-                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
-        if given:
-            raise TypeError(f"{cls.__qualname__}() got unexpected arguments {sorted(given)}")
-        if hasattr(cls, "__post_init__"):
-            self.__post_init__()
+        cls.__init__ = _first_init(cls)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -115,28 +95,53 @@ class Record:
             object.__setattr__(self, name, value)
 
 
+def _first_init(cls: type):
+    """An ``__init__`` that compiles ``cls``'s own, puts it in its place and runs it."""
+    def __init__(self, *args, **kwargs) -> None:
+        cls.__init__ = _compiled_init(cls)
+        cls.__init__(self, *args, **kwargs)
+    return __init__
+
+
 def _compiled_init(cls: type):
-    """``cls.__init__`` written out as dataclass writes it, for a class whose
-    fields all take an argument. ``object.__setattr__`` fills a slot, or
-    writes a ``__dict__`` without making one where the values sit inline."""
-    params, lines, constants = ["self"], [], {"SET": object.__setattr__}
+    """``cls.__init__`` written out as dataclass writes it: an argument per
+    ``init`` field, the ``kw_only`` ones after ``*``, a default or factory
+    for a field left out, then ``__post_init__`` if the class has one.
+    A slot is filled by its descriptor; ``object.__setattr__`` writes a
+    ``__dict__`` without making one where the values sit inline."""
+    params, kw_only, lines, constants = ["self"], [], [], {"SET": object.__setattr__}
     for name, spec in cls.__record_fields__.items():
         constants["DEFAULT_" + name], constants["MAKE_" + name] = spec.default, spec.default_factory
-        params.append(name if spec.default is spec.default_factory is MISSING
-                      else f"{name}=DEFAULT_{name}")
-        lines.append(f"SET(self, {name!r}, {name})" if spec.default_factory is MISSING else
-                     f"SET(self, {name!r}, MAKE_{name}() if {name} is DEFAULT_{name} else {name})")
+        if spec.init:
+            (kw_only if spec.kw_only else params).append(
+                name if spec.default is spec.default_factory is MISSING else f"{name}=DEFAULT_{name}")
+            value = (name if spec.default_factory is MISSING
+                     else f"MAKE_{name}() if {name} is DEFAULT_{name} else {name}")
+        elif spec.default_factory is not MISSING:
+            value = f"MAKE_{name}()"
+        elif spec.default is not MISSING:
+            value = f"DEFAULT_{name}"
+        else:
+            continue
+        if type(slot := getattr(cls, name, None)) is MemberDescriptorType:  # the cheaper call
+            constants["SET_" + name] = slot.__set__
+            lines.append(f"SET_{name}(self, {value})")
+        else:
+            lines.append(f"SET(self, {name!r}, {value})")
+    params += ["*", *kw_only] if kw_only else []
+    lines += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
     namespace: dict[str, object] = {}
     exec(f"def create({', '.join(constants)}):\n def __init__({', '.join(params)}):\n  "
-         + "\n  ".join(lines) + "\n return __init__\n", namespace)
-    return namespace["create"](**constants)
+         + "\n  ".join(lines or ["pass"]) + "\n return __init__\n", namespace)
+    init = namespace["create"](**constants)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # as a TypeError names it
+    return init
 
 
-def record_class(name: str, module: str, rows, base: type = Record,
-                 compile_init: bool = False) -> type:
+def record_class(name: str, module: str, rows, base: type = Record) -> type:
     """A slotted record class ``module.name``: ``base``'s fields, then one
     per row, (name, type) or (name, type, default)."""
     return type(name, (base,), {
         "__slots__": tuple(row[0] for row in rows), "__module__": module,
         "__qualname__": name, "__annotations__": {row[0]: row[1] for row in rows}},
-        defaults={row[0]: row[2] for row in rows if len(row) > 2}, compile_init=compile_init)
+        defaults={row[0]: row[2] for row in rows if len(row) > 2})

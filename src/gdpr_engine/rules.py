@@ -151,7 +151,7 @@ class FineClassificationError(ValueError):
     """Infringement kind has no Art. 83 fine tier."""
 
 
-class Finding(Record, compile_init=True):
+class Finding(Record):
     objectId: str
     message: str
 
@@ -159,7 +159,7 @@ class Finding(Record, compile_init=True):
         return {"object": self.objectId, "message": self.message}
 
 
-class RuleVerdict(Record, compile_init=True):
+class RuleVerdict(Record):
     ruleId: str
     status: str
     articles: tuple[int, ...]
@@ -1796,7 +1796,7 @@ def _active_specs(profile) -> dict[str, RuleSpec]:
     return {spec.id: spec for spec in profile.rules()}
 
 
-class ComplianceReport(Record, compile_init=True):
+class ComplianceReport(Record):
     verdicts: tuple[RuleVerdict, ...]
     profileFingerprint: str
     graphFingerprint: str

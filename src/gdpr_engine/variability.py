@@ -73,19 +73,19 @@ class ProfileConsistencyError(VariabilityError):
     """Cross-resolution consistency violated at finalize."""
 
 
-class Resolution(Record, compile_init=True):
+class Resolution(Record):
     variationId: str
     parameters: Mapping[str, object] = Field(default_factory=dict)
 
     _checked = False  # made by VariationPoint.resolve: params checked and frozen
 
 
-class Adaptation(Record, compile_init=True):
+class Adaptation(Record):
     removedRights: frozenset[str] = frozenset()
     exemptProcessingTypes: frozenset[str] = frozenset()
 
 
-class AuditEntry(Record, compile_init=True):
+class AuditEntry(Record):
     variationId: str
     artifact: str  # "model" | "constraints" | "glossary"
     action: str

@@ -291,6 +291,16 @@ def test_generated_decoder_source_is_kept():
         assert repr(spec.name) in source, spec.name
 
 
+def test_codecs_are_generated_per_wire_class_only():
+    """The nested basis and consultation are decoded by plain functions, so
+    a load of every typed class generates one decoder and one encoder each."""
+    serialize_instance(load_instance(document_bytes(compliant_document())))
+    assert {"Data_Transfer", "Data_Protection_Impact_Assessment"} <= {
+        cls for _, cls in ingest._CODEC_SOURCE}
+    for kind, cls in ingest._CODEC_SOURCE:
+        assert kind in ("decode", "encode") and cls in DATACLASS_FOR, (kind, cls)
+
+
 def test_import_generates_no_codec():
     """Codecs are generated when a class is first met, so an import (which
     every one-document check pays) builds none."""

@@ -363,10 +363,9 @@ def test_valid_documents_are_streamed_in_any_layout(monkeypatch, layout):
 
     monkeypatch.setattr(ingest, "_document_nodes", no_whole_document)
     monkeypatch.setattr(ingest, "_with_unique_ids", no_id_walk)
-    for limit in SCAN_LIMITS:
-        monkeypatch.setattr(ingest, "_SCAN_WHOLE", limit)
-        for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
-            assert serialize_instance(load_instance(source)) == expected
+    monkeypatch.setattr(ingest, "_SCAN_WHOLE", 0)  # so every text is streamed
+    for source in (text, " \n" + text + "\r\n\t", text.encode("utf-8")):
+        assert serialize_instance(load_instance(source)) == expected
 
 
 def top_level_texts():
@@ -405,12 +404,8 @@ def test_top_level_members_load_as_a_whole_document_parse_does():
             text[:20] + " ... " + text[-40:]
 
 
-def test_a_short_text_scans_its_objects_in_one_call(monkeypatch):
-    """``scan_once`` reads the schemaVersion value, then the objects array
-    whole when the text is at most ``_SCAN_WHOLE`` long, else each object."""
-    document = compliant_document()
-    text = json.dumps(document)
-    assert len(text) <= ingest._SCAN_WHOLE
+def counted_scans(monkeypatch) -> list[str]:
+    """The character at which each ``_DECODER.scan_once`` call starts, from now on."""
     calls = []
     scan = ingest._DECODER.scan_once
 
@@ -419,13 +414,37 @@ def test_a_short_text_scans_its_objects_in_one_call(monkeypatch):
         return scan(text, pos)
 
     monkeypatch.setattr(ingest._DECODER, "scan_once", counted)
+    return calls
+
+
+def test_a_short_text_scans_its_objects_in_one_call(monkeypatch):
+    """A text at most ``_SCAN_WHOLE`` long is parsed whole in one
+    ``scan_once`` call; a longer one is scanned as the schemaVersion value
+    plus one call per object."""
+    document = compliant_document()
+    text = json.dumps(document)
+    assert len(text) <= ingest._SCAN_WHOLE
+    calls = counted_scans(monkeypatch)
     expected = serialize_instance(load_instance(text))
-    for limit, scanned in [(ingest._SCAN_WHOLE, ['"', "["]), (len(text), ['"', "["]),
+    for limit, scanned in [(ingest._SCAN_WHOLE, ["{"]), (len(text), ["{"]),
                            (len(text) - 1, ['"'] + ["{"] * len(document["objects"]))]:
         monkeypatch.setattr(ingest, "_SCAN_WHOLE", limit)
         calls.clear()
         assert serialize_instance(load_instance(text)) == expected
         assert calls == scanned, limit
+
+
+def test_a_short_faulty_text_is_read_once(monkeypatch):
+    """A short text is not streamed first, so its fault costs one parse."""
+    document = compliant_document()
+    document["objects"][-1]["attrs"] = 5
+    text = json.dumps(document)
+    assert len(text) <= ingest._SCAN_WHOLE
+    calls = counted_scans(monkeypatch)
+    with pytest.raises(LoadError) as caught:
+        load_instance(text)
+    assert str(caught.value) == "SCHEMA (object 'inf1'): attrs must be an object"
+    assert calls == ["{"]
 
 
 def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():

@@ -1,5 +1,5 @@
-"""The record classes keep their contract: fields, defaults, repr, hashing,
-the ``dataclasses`` protocol, frozenness, pickling and copying.
+"""The record classes keep their contract: construction, fields, defaults,
+repr, hashing, the ``dataclasses`` protocol, frozenness, pickling and copying.
 
 ``golden/records.json`` holds, for each of the engine's 34 record classes,
 what ``dataclasses.fields`` gives (name, type, default, init, repr, compare,
@@ -143,6 +143,30 @@ def test_each_record_pickles_and_copies(name):
     for made in copies:
         assert type(made) is type(sample)
         assert made == sample and repr(made) == repr(sample)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_each_record_rebuilds_by_keyword_from_its_init_fields(name):
+    sample = SAMPLES[name]
+    given = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample) if f.init}
+    rebuilt = type(sample)(**given)
+    assert rebuilt == sample and repr(rebuilt) == repr(sample)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model.Violation(model.DANGLING_REF, "p1"),
+    lambda: model.Actor(cls="Data_Controller"),
+    lambda: rules.RuleSpec("C99", (5,), "a summary", len),
+    lambda: rules.Finding("p1", "a message", severity="high"),
+    lambda: model.TransferBasis("BCR", approval=True),
+    lambda: rules.RuleSpec("C99", (5,), "a summary", len, "generic", {}),
+    lambda: variability.VariationPoint("V99", 8, "a summary", {}, audit=()),
+], ids=["missing argument", "missing keyword", "missing keyword-only argument",
+        "unknown keyword", "unknown field", "keyword-only argument by position",
+        "init=False field as an argument"])
+def test_a_record_refuses_arguments_its_fields_do_not_take(build):
+    with pytest.raises(TypeError, match=r"^[A-Z][A-Za-z]+\.__init__\(\) "):
+        build()
 
 
 # Imports the CLI, runs one machine-format check, then lists which of the
