@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import reprlib
 from operator import attrgetter
-from types import MemberDescriptorType
 
 MISSING = object()
 
@@ -106,9 +105,7 @@ def _first_init(cls: type):
 def _compiled_init(cls: type):
     """``cls.__init__`` written out as dataclass writes it: an argument per
     ``init`` field, the ``kw_only`` ones after ``*``, a default or factory
-    for a field left out, then ``__post_init__`` if the class has one.
-    A slot is filled by its descriptor; ``object.__setattr__`` writes a
-    ``__dict__`` without making one where the values sit inline."""
+    for a field left out, then ``__post_init__`` if the class has one."""
     params, kw_only, lines, constants = ["self"], [], [], {"SET": object.__setattr__}
     for name, spec in cls.__record_fields__.items():
         constants["DEFAULT_" + name], constants["MAKE_" + name] = spec.default, spec.default_factory
@@ -123,11 +120,7 @@ def _compiled_init(cls: type):
             value = f"DEFAULT_{name}"
         else:
             continue
-        if type(slot := getattr(cls, name, None)) is MemberDescriptorType:  # the cheaper call
-            constants["SET_" + name] = slot.__set__
-            lines.append(f"SET_{name}(self, {value})")
-        else:
-            lines.append(f"SET(self, {name!r}, {value})")
+        lines.append(f"SET(self, {name!r}, {value})")
     params += ["*", *kw_only] if kw_only else []
     lines += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
     namespace: dict[str, object] = {}

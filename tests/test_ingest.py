@@ -329,20 +329,11 @@ def whole_document_outcome(data: bytes | str):
         return load_outcome(data)
 
 
-# A text of at most ``_SCAN_WHOLE`` characters has its objects array read in
-# one call, a longer one object by object; 0 sends every text through the
-# per-object loop.
-SCAN_LIMITS = (0, ingest._SCAN_WHOLE)
-
-
-def streamed_outcomes(data: bytes | str) -> list:
-    """``load_outcome`` with the objects array read object by object, then
-    in one call."""
-    outcomes = []
-    for limit in SCAN_LIMITS:
-        with mock.patch.object(ingest, "_SCAN_WHOLE", limit):
-            outcomes.append(load_outcome(data))
-    return outcomes
+def streamed_outcome(data: bytes | str):
+    """``load_outcome`` with the objects array read object by object, as a
+    text longer than ``_SCAN_WHOLE`` is."""
+    with mock.patch.object(ingest, "_SCAN_WHOLE", 0):
+        return load_outcome(data)
 
 
 @pytest.mark.parametrize("layout", [
@@ -400,7 +391,7 @@ def top_level_texts():
 def test_top_level_members_load_as_a_whole_document_parse_does():
     for text in top_level_texts():
         data = text.encode("utf-8")
-        assert streamed_outcomes(data) == [whole_document_outcome(data)] * 2, \
+        assert streamed_outcome(data) == whole_document_outcome(data), \
             text[:20] + " ... " + text[-40:]
 
 
@@ -417,7 +408,7 @@ def counted_scans(monkeypatch) -> list[str]:
     return calls
 
 
-def test_a_short_text_scans_its_objects_in_one_call(monkeypatch):
+def test_a_short_text_is_parsed_in_one_call(monkeypatch):
     """A text at most ``_SCAN_WHOLE`` long is parsed whole in one
     ``scan_once`` call; a longer one is scanned as the schemaVersion value
     plus one call per object."""
@@ -460,7 +451,8 @@ def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():
     expected = load_instance(document_bytes(kept))
     with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
         whole = load_instance(text.encode("utf-8"))
-    graph = load_instance(text.encode("utf-8"))
+    with mock.patch.object(ingest, "_SCAN_WHOLE", 0):  # so the text is streamed first
+        graph = load_instance(text.encode("utf-8"))
     assert graph.latest_minutes() == whole.latest_minutes() == expected.latest_minutes()
     assert graph.latest_minutes() < parse_minutes("2031-07-01T00:00:00Z")
     check_date = evaluate_all(graph, profile).to_payload()["checkDate"]
@@ -517,7 +509,8 @@ def test_equal_strings_of_a_loaded_graph_are_one_object(whole):
             with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
                 graph = load_instance(data)
         else:
-            graph = load_instance(data)
+            with mock.patch.object(ingest, "_SCAN_WHOLE", 0):  # so every text is streamed
+                graph = load_instance(data)
         assert repeated_strings(graph) == [], name
         # The walker reaches into every node: it yields each object and ref id.
         held = {text for node in graph for text in held_strings(node)}

@@ -9,8 +9,8 @@ the peak of ``graph_fingerprint``, which streams the canonical document into
 the hash and so holds one object's text at a time, and of ``load_instance``.
 A text longer than ``_SCAN_WHOLE`` (256 KiB) is decoded one object at a
 time, so its load never holds a JSON tree of the whole document; a shorter
-one has its objects read in one call, and its whole tree, about 5 times the
-text, stays under 8 times ``_SCAN_WHOLE``. One bounds the bytes a loaded
+one is parsed whole, and its tree, about 5 times the text, stays under 8
+times ``_SCAN_WHOLE``. One bounds the bytes a loaded
 graph keeps as a ratio to its text. The last counts ``parse_minutes``
 calls: one load parses each distinct timestamp string once, however often
 it occurs.
