@@ -98,11 +98,13 @@ def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
     extensions of ``profile`` when one is given.
 
     A text of at most 256 KiB (``_SCAN_WHOLE``), whose JSON tree is small,
-    is parsed whole, in one call. A longer one is decoded one object at a
-    time, each raw object dropped once its node is built and the text before
-    the graph is built, so no tree of the whole document is held; if the
-    stream cannot load it, it is parsed whole, which reports its first
-    error. Each path parses each distinct timestamp once, and the
+    is parsed whole, in one call, and so is a text that may hold a lone
+    surrogate: one with a ``\\uD800``-``\\uDFFF`` escape, or a ``str`` with a
+    raw surrogate (decoded bytes hold none). A longer one is decoded one
+    object at a time, each raw object dropped once its node is built and
+    the text before the graph is built, so no tree of the whole document is
+    held; if the stream cannot load it, it is parsed whole, which reports
+    its first error. Each path parses each distinct timestamp once, and the
     graph takes the minutes of those its nodes hold. Loading creates no
     reference cycles, so cyclic garbage collection is paused meanwhile. A
     successful load with the collector enabled and nothing frozen
@@ -119,13 +121,14 @@ def load_instance(data: bytes | str | BinaryIO, profile=None) -> InstanceGraph:
     try:
         data = data.read() if hasattr(data, "read") else data
         text = _decode(data)
-        from_str = isinstance(data, str)
+        surrogates = _SURROGATE_ESCAPE.search(text) is not None or (
+            isinstance(data, str) and not text.isascii() and _SURROGATE.search(text) is not None)
         del data
         # A declined stream's minutes and strings are dropped with its nodes.
-        streamed = _stream_nodes(text, from_str) if len(text) > _SCAN_WHOLE else None
+        streamed = _stream_nodes(text) if len(text) > _SCAN_WHOLE and not surrogates else None
         nodes, parsed = streamed or (None, {})
         if nodes is None:
-            nodes = _with_unique_ids(_document_nodes(text, from_str, parsed))
+            nodes = _with_unique_ids(_document_nodes(text, parsed, surrogates))
         del text
         try:
             graph = InstanceGraph(nodes, parsed=parsed)
@@ -193,20 +196,12 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _reject_lone_surrogates(text: str, document: dict, *, from_str: bool) -> None:
+def _reject_lone_surrogates(document: dict) -> None:
     """Reject a string holding a lone surrogate (U+D800-U+DFFF): UTF-8
-    cannot encode it, so the canonical document could not be hashed.
-
-    Bytes are decoded strictly and carry none, so only a \\uD800-\\uDFFF
-    escape, or a raw surrogate in text passed as str (``from_str``), can
-    bring one in. Only an escape needs the parsed strings: a paired escape
-    decodes to one astral character and is valid.
-    """
-    found = None
-    if _SURROGATE_ESCAPE.search(text):
-        found = _SURROGATE.search(json.dumps(document, ensure_ascii=False))
-    elif from_str and not text.isascii():
-        found = _SURROGATE.search(text)
+    cannot encode it, so the canonical document could not be hashed. The
+    parsed strings are judged, as a paired escape decodes to one astral
+    character and is valid, and a value a repeated key shadows is gone."""
+    found = _SURROGATE.search(json.dumps(document, ensure_ascii=False))
     if found is not None:
         _fail(SYNTAX, f"a string holds the lone surrogate "
                       f"U+{ord(found.group()):04X}, which UTF-8 cannot encode")
@@ -231,7 +226,7 @@ _scan_key = json.decoder.scanstring  # the C string reader the scanner uses
 _SCAN_WHOLE = 256 * 1024  # the longest text whose objects are read in one call
 
 
-def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]] | None:
+def _stream_nodes(text: str) -> tuple[list[Node], dict[str, int]] | None:
     """The nodes of an instance document and the minutes of each timestamp
     they hold.
 
@@ -240,22 +235,19 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     ``_DECODER.decode`` uses, so each element of ``objects`` is the dict a
     whole-document parse would hold, and ``_build_node`` builds its node.
     ``load_instance`` streams only a text longer than ``_SCAN_WHOLE``, whose
-    JSON tree (about 5x the text) would cost memory: each object is dropped
-    once built, so the load never holds more than one object's tree.
+    JSON tree (about 5x the text) would cost memory, and that holds no lone
+    surrogate: each object is dropped once built, so the load never holds
+    more than one object's tree.
 
     Returns None, and never raises, for a document that might not load
     this way: a syntax error anywhere, a root that is not an object, a
     top-level key that is unknown or repeated, a wrong ``schemaVersion``,
-    ``objects`` missing or not an array, a surrogate escape (or a raw
-    surrogate in ``str`` input), or an object that does not build.
+    ``objects`` missing or not an array, or an object that does not build.
     ``_document_nodes`` then reads the text whole, so the error reported is
     the one a whole-document load finds first. Ids are not checked here:
     once every object has built, the first repeated id is that error, and
     ``_with_unique_ids`` names it when ``InstanceGraph`` finds a repeat.
     """
-    if _SURROGATE_ESCAPE.search(text) or (
-            from_str and not text.isascii() and _SURROGATE.search(text)):
-        return None
     scan = _DECODER.scan_once
     nodes: list[Node] | None = None
     parsed: dict[str, int] = {}
@@ -322,22 +314,25 @@ def _stream_nodes(text: str, from_str: bool) -> tuple[list[Node], dict[str, int]
     return nodes, parsed
 
 
-def _document_nodes(text: str, from_str: bool, parsed: dict[str, int]) -> Iterator[Node]:
+def _document_nodes(text: str, parsed: dict[str, int], surrogates: bool) -> Iterator[Node]:
     """The nodes of an instance document parsed whole, built one by one as
     they are drawn, or the LoadError of its first fault. The minutes of
     their timestamps go to ``parsed``.
 
     The checks run in the order that decides which error a document with
-    several faults reports: syntax, a lone surrogate, the top-level keys,
+    several faults reports: syntax, a lone surrogate (sought only when
+    ``load_instance`` found the text may hold one), the top-level keys,
     then each object in document order, where ``_with_unique_ids`` draws
     the nodes and checks each id before the next object is built. This path
-    reads every text of at most ``_SCAN_WHOLE`` characters, and a longer one
-    ``_stream_nodes`` declined, mostly to report its error; a document whose
-    surrogate escapes are paired, or whose last repeated ``objects`` key
-    holds valid objects, still loads here.
+    reads every text of at most ``_SCAN_WHOLE`` characters or with a
+    possible lone surrogate, and a longer one ``_stream_nodes`` declined,
+    mostly to report its error; a document whose surrogate escapes are
+    paired, or whose last repeated ``objects`` key holds valid objects,
+    still loads here.
     """
     document = _parse_json(text)
-    _reject_lone_surrogates(text, document, from_str=from_str)
+    if surrogates:
+        _reject_lone_surrogates(document)
     _check_top_level(document, _INSTANCE_KEYS, "objects")
     raw_objects = document["objects"]
     if not isinstance(raw_objects, list):
@@ -369,50 +364,44 @@ def _unknown(names, allowed: frozenset[str]) -> str:
 
 
 def _build_node(raw: object, position: int, parsed: dict[str, int], keep) -> Node:
-    """The node of ``raw``, its strings kept by ``keep``, or its first LoadError."""
-    # A well-formed envelope of a typed class named exactly goes straight to
-    # its decoder; the class is tested for a str before it is hashed.
-    if (type(raw) is dict and raw.keys() <= _OBJECT_KEYS
-            and type(cls := raw.get("class")) is str and cls in DATACLASS_FOR
-            and type(object_id := raw.get("id")) is str and object_id
-            and type(attrs := raw.get("attrs", {})) is dict
-            and type(refs := raw.get("refs", {})) is dict):
-        return _CODECS[cls][0](keep(object_id, object_id), attrs, refs, parsed, keep)
-    if not isinstance(raw, dict):
+    """The node of ``raw``, its strings kept by ``keep``, or its first LoadError:
+    exact type tests (values come from the JSON scanner) in the order that
+    decides which error a faulty object reports. A typed class named exactly
+    skips the class-name lookup."""
+    if type(raw) is not dict:
         _fail(SCHEMA, f"objects[{position}] is not an object")
     if not raw.keys() <= _OBJECT_KEYS:
         _fail(SCHEMA, f"objects[{position}]: unknown keys "
                       f"{_unknown(raw.keys(), _OBJECT_KEYS)}")
     object_id = raw.get("id")
-    if not isinstance(object_id, str) or not object_id:
+    if type(object_id) is not str or not object_id:
         _fail(SCHEMA, f"objects[{position}]: id must be a nonempty string")
-    class_name = raw.get("class")
-    if not isinstance(class_name, str):
+    cls = raw.get("class")
+    if type(cls) is not str:
         _fail(SCHEMA, "class must be a string", object_id=object_id)
-    try:
-        canonical = canonical_class_name(class_name)
-    except UnknownClassError:
-        raise LoadError(UNKNOWN_CLASS, f"unknown class {class_name!r}",
-                        object_id=object_id) from None
-    if canonical in ABSTRACT_CLASSES:
-        _fail(UNKNOWN_CLASS, f"class {canonical} is abstract and cannot be "
-                             "instantiated", object_id=object_id)
-
+    if cls not in DATACLASS_FOR:
+        try:
+            cls = canonical_class_name(cls)
+        except UnknownClassError:
+            raise LoadError(UNKNOWN_CLASS, f"unknown class {cls!r}",
+                            object_id=object_id) from None
+        if cls in ABSTRACT_CLASSES:
+            _fail(UNKNOWN_CLASS, f"class {cls} is abstract and cannot be "
+                                 "instantiated", object_id=object_id)
     attrs = raw.get("attrs", {})
-    refs = raw.get("refs", {})
-    if not isinstance(attrs, dict):
+    if type(attrs) is not dict:
         _fail(SCHEMA, "attrs must be an object", object_id=object_id)
-    if not isinstance(refs, dict):
+    refs = raw.get("refs", {})
+    if type(refs) is not dict:
         _fail(SCHEMA, "refs must be an object", object_id=object_id)
-
     object_id = keep(object_id, object_id)
-    if canonical not in DATACLASS_FOR:
-        return GenericNode(
-            id=object_id, cls=keep(canonical, canonical),
-            attrs=ReadOnlyDict({keep(key, key): keep(value, value) if type(value) is str
-                                else value for key, value in attrs.items()}),
-            refs=_generic_refs(object_id, refs, keep))
-    return _CODECS[canonical][0](object_id, attrs, refs, parsed, keep)
+    if cls in DATACLASS_FOR:
+        return _CODECS[cls][0](object_id, attrs, refs, parsed, keep)
+    return GenericNode(
+        id=object_id, cls=keep(cls, cls),
+        attrs=ReadOnlyDict({keep(key, key): keep(value, value) if type(value) is str
+                            else value for key, value in attrs.items()}),
+        refs=_generic_refs(object_id, refs, keep))
 
 
 def _generic_refs(object_id: str, refs: Mapping, keep) -> ReadOnlyDict:
@@ -790,9 +779,8 @@ def load_profile(data: bytes | str) -> list[Resolution]:
         if not isinstance(raw, dict):
             _fail(SCHEMA, f"resolutions[{position}] is not an object")
         if not raw.keys() <= _RESOLUTION_KEYS:
-            unknown = sorted(raw.keys() - _RESOLUTION_KEYS)
             _fail(SCHEMA, f"resolutions[{position}]: unknown keys "
-                          f"{', '.join(unknown)}")
+                          f"{_unknown(raw.keys(), _RESOLUTION_KEYS)}")
         variation = raw.get("variation")
         if not isinstance(variation, str):
             _fail(SCHEMA, f"resolutions[{position}]: variation must be a string")

@@ -264,8 +264,8 @@ CLASS_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
     ),
 }
 
-# Attrs holding a nested object. The loader decodes them after the refs; a
-# required one is decoded even when absent, so its decoder reports it.
+# Attrs holding a nested object, decoded after the refs. The node's decoder
+# reports a required one absent or null; any other value goes to its decoder.
 NESTED_ATTRS: dict[str, tuple[AttrSpec, ...]] = {
     "Data_Transfer": (
         _a("basis", "basis", required=True, default=TransferBasis("IntraEU")),

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdpr_engine import enums, graph_fingerprint, load_instance, serialize_instance
@@ -126,8 +126,7 @@ def documents(draw) -> dict:
             "objects": draw(st.permutations(objects))}
 
 
-PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
-                             suppress_health_check=[HealthCheck.too_slow])
+PROPERTY_SETTINGS = settings(max_examples=100)
 
 
 @PROPERTY_SETTINGS

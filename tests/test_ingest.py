@@ -325,7 +325,7 @@ def load_outcome(data: bytes | str):
 def whole_document_outcome(data: bytes | str):
     """``load_outcome`` with the object-by-object stream declining, so the
     document is parsed whole."""
-    with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+    with mock.patch.object(ingest, "_stream_nodes", lambda text: None):
         return load_outcome(data)
 
 
@@ -346,7 +346,7 @@ def test_valid_documents_are_streamed_in_any_layout(monkeypatch, layout):
     text = json.dumps(document, **layout)
     expected = serialize_instance(load_instance(document_bytes(document)))
 
-    def no_whole_document(text, from_str):
+    def no_whole_document(text, parsed, surrogates):
         raise AssertionError("the document was parsed whole")
 
     def no_id_walk(nodes):
@@ -438,6 +438,38 @@ def test_a_short_faulty_text_is_read_once(monkeypatch):
     assert calls == ["{"]
 
 
+def test_a_long_text_that_may_hold_a_lone_surrogate_is_parsed_whole(monkeypatch):
+    """A text longer than ``_SCAN_WHOLE`` with a surrogate escape, or a str
+    with a raw surrogate, is not streamed: the whole parse rejects it."""
+    document = variant(compliant_document(), LONE_SURROGATE_MUTATIONS["attr value"])
+    find(document, "demo1")["attrs"]["pad"] = "x" * ingest._SCAN_WHOLE
+
+    def no_stream(text):
+        raise AssertionError("a text that may hold a lone surrogate was streamed")
+
+    monkeypatch.setattr(ingest, "_stream_nodes", no_stream)
+    for source in (document_bytes(document), json.dumps(document, ensure_ascii=False)):
+        assert len(source) > ingest._SCAN_WHOLE
+        with pytest.raises(LoadError) as caught:
+            load_instance(source)
+        assert caught.value.code == SYNTAX
+        assert "lone surrogate U+D800" in str(caught.value)
+
+
+def test_a_lone_surrogate_a_repeated_key_shadows_loads_raw_or_escaped():
+    """Only the parsed strings are judged: under an ``objects`` key that a
+    later one shadows, a raw surrogate in a str and its escape in bytes are
+    both dropped, and both texts load the later objects."""
+    kept = compliant_document()
+    shadowed = variant(kept, LONE_SURROGATE_MUTATIONS["attr value"])
+    tail = ', "objects": ' + json.dumps(kept["objects"]) + "}"
+    raw = '{"objects": ' + json.dumps(shadowed["objects"], ensure_ascii=False) + tail
+    escaped = ('{"objects": ' + json.dumps(shadowed["objects"]) + tail).encode("utf-8")
+    assert "\ud800" in raw and b"\\ud800" in escaped
+    expected = serialize_instance(load_instance(document_bytes(kept)))
+    assert load_outcome(raw) == load_outcome(escaped) == expected
+
+
 def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():
     """Two ``objects`` keys: the stream declines the repeated key and the
     whole-document parse keeps the last array. A later timestamp that only
@@ -449,7 +481,7 @@ def test_timestamps_of_a_declined_stream_do_not_reach_the_graph():
             + ', "objects": ' + json.dumps(kept["objects"]) + "}")
     profile = build_profile([])
     expected = load_instance(document_bytes(kept))
-    with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+    with mock.patch.object(ingest, "_stream_nodes", lambda text: None):
         whole = load_instance(text.encode("utf-8"))
     with mock.patch.object(ingest, "_SCAN_WHOLE", 0):  # so the text is streamed first
         graph = load_instance(text.encode("utf-8"))
@@ -506,7 +538,7 @@ def test_equal_strings_of_a_loaded_graph_are_one_object(whole):
     for name, document in documents.items():
         data = document_bytes(document)
         if whole:
-            with mock.patch.object(ingest, "_stream_nodes", lambda text, from_str: None):
+            with mock.patch.object(ingest, "_stream_nodes", lambda text: None):
                 graph = load_instance(data)
         else:
             with mock.patch.object(ingest, "_SCAN_WHOLE", 0):  # so every text is streamed

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import compliant_document, document_bytes
@@ -132,8 +132,7 @@ def mutated_documents(draw) -> dict:
     return document
 
 
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400)
 @given(mutated_documents())
 def test_any_json_in_any_field_gives_a_graph_or_a_load_error(document):
     try:
@@ -183,8 +182,7 @@ def instance_texts(draw) -> bytes | str:
     return text if draw(st.booleans()) else text.encode("utf-8", "surrogatepass")
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200)
 @given(instance_texts())
 def test_streamed_load_matches_the_whole_document_path(data):
     assert streamed_outcome(data) == whole_document_outcome(data)

@@ -173,9 +173,9 @@ def test_a_load_lets_the_input_bytes_go_before_the_scan(monkeypatch):
     stream = ingest._stream_nodes
     held = []
 
-    def spy(text, from_str):
+    def spy(text):
         held.append(tracemalloc.get_traced_memory()[0])
-        return stream(text, from_str)
+        return stream(text)
 
     monkeypatch.setattr(ingest, "_stream_nodes", spy)
     tracemalloc.start()
@@ -196,9 +196,9 @@ def test_a_load_from_a_binary_file_frees_the_bytes_before_the_scan(monkeypatch, 
     stream = ingest._stream_nodes
     held = []
 
-    def spy(text, from_str):
+    def spy(text):
         held.append(tracemalloc.get_traced_memory()[0])
-        return stream(text, from_str)
+        return stream(text)
 
     monkeypatch.setattr(ingest, "_stream_nodes", spy)
     with open(path, "rb") as handle:
