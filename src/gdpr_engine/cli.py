@@ -8,7 +8,7 @@ import os
 import sys
 
 from .glossary import glossary_lookup
-from .ingest import LoadError, canonical_json, load_instance, load_profile
+from .ingest import LoadError, canonical_json, load_instance, load_profile, report_json
 from .registry import UnknownClassError, format_citations, trace_articles
 from .rules import (FAIL, NOT_APPLICABLE, PASS, RULE_CATALOG, UNKNOWN,
                     ComplianceReport, evaluate_all)
@@ -35,11 +35,10 @@ def _paint(text: str, code: str, enabled: bool) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _write_machine(payload) -> None:
-    """Canonical JSON and a newline on standard output, as UTF-8 bytes
-    whatever the stream's encoding; a stream without a byte buffer gets
-    the text."""
-    text = canonical_json(payload) + "\n"
+def _write_machine(text: str) -> None:
+    """``text`` and a newline on standard output, as UTF-8 bytes whatever
+    the stream's encoding; a stream without a byte buffer gets the text."""
+    text += "\n"
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         sys.stdout.write(text)
@@ -91,7 +90,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if args.format == "machine":
-        _write_machine(report.to_payload())
+        _write_machine(report_json(report.to_payload()))
     else:
         _print_human_report(report, sys.stdout)
     counts = report.counts()
@@ -111,11 +110,11 @@ def cmd_tailor(args: argparse.Namespace) -> int:
 
     entries = profile.resolution_table()
     if args.format == "machine":
-        _write_machine({
+        _write_machine(canonical_json({
             "audit": profile.resolution_table_payload(),
             "activeRules": profile.active_rule_ids(),
             "fingerprint": profile.fingerprint(),
-        })
+        }))
         return EXIT_OK
     if entries:
         width = max(len(e.variationId) for e in entries)

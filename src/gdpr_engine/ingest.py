@@ -41,6 +41,7 @@ from .model import (
 )
 from .records import MISSING
 from .registry import ABSTRACT_CLASSES, UnknownClassError, canonical_class_name
+from .rules import RULE_CATALOG, VARIATION_RULE_SPECS
 from .timebase import TimestampError, TimestampRangeError, parse_minutes
 from .variability import (
     Resolution,
@@ -170,10 +171,19 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+MAX_INT_DIGITS = 640  # sign not counted; the interpreter's lowest limit but 0
+
+
+def _bounded_int(literal: str) -> int:
+    if len(literal) > MAX_INT_DIGITS and len(literal) - (literal[0] == "-") > MAX_INT_DIGITS:
+        _fail(SYNTAX, "a number has more digits than the parser allows")
+    return int(literal)
+
+
 # RFC 8259 JSON only: NaN, Infinity and -Infinity, which json.loads accepts,
-# and numbers that overflow a double raise LoadError(SYNTAX).
+# and numbers past a double's range or MAX_INT_DIGITS raise LoadError(SYNTAX).
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant,
-                            parse_float=_finite_float)
+                            parse_float=_finite_float, parse_int=_bounded_int)
 
 
 def _parse_json(text: str) -> dict:
@@ -183,10 +193,6 @@ def _parse_json(text: str) -> dict:
         _fail(SYNTAX, exc.msg, line=exc.lineno, column=exc.colno)
     except RecursionError:
         _fail(SYNTAX, "document nests deeper than the parser allows")
-    except LoadError:  # from the number hooks above
-        raise
-    except ValueError:  # an integer past sys.get_int_max_str_digits()
-        _fail(SYNTAX, "a number has more digits than the parser allows")
     if not isinstance(document, dict):
         _fail(SCHEMA, "document root must be an object")
     return document
@@ -305,9 +311,8 @@ def _stream_nodes(text: str) -> tuple[list[Node], dict[str, int]] | None:
                 return None
             pos = _skip_space(text, pos + 1).end()
     except (ValueError, StopIteration, RecursionError):
-        # A JSONDecodeError, a number hook's LoadError, an integer past the
-        # digit limit, no value where one belongs, nesting past the stack,
-        # or an object that does not build.
+        # A JSONDecodeError, a number hook's LoadError, no value where one
+        # belongs, nesting past the stack, or an object that does not build.
         return None
     if nodes is None or _skip_space(text, pos + 1).end() != len(text):
         return None
@@ -654,13 +659,18 @@ def _decoder_source(cls: str) -> str:
 
 # Canonical JSON is what json.dumps(value, sort_keys=True, separators=(",",
 # ":"), ensure_ascii=False) prints; ``canonical_json`` writes it for any
-# acyclic JSON value (a cycle raises RecursionError). The graph's canonical
+# acyclic JSON value (a cycle raises RecursionError) with one C encoder, made
+# as JSONEncoder.iterencode makes one afresh on every call. The graph's canonical
 # document is the canonical JSON of its wire form, written object by object
 # by per-class encoders, so neither the wire dicts nor the text are built.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  ensure_ascii=False, check_circular=False).encode
 _encode_str = json.encoder.encode_basestring  # json.dumps' ensure_ascii=False escaper
 _JSON_BOOL = {True: "true", False: "false"}
+_CANONICAL = json.encoder.c_make_encoder(None, json.JSONEncoder().default, _encode_str, None,
+                                         ":", ",", True, False, True)
+
+
+def canonical_json(value) -> str:
+    return "".join(_CANONICAL(value, 0))
 
 
 def _encode_strs(values: Sequence[str]) -> str:
@@ -755,6 +765,40 @@ def graph_fingerprint(graph: InstanceGraph) -> str:
     for chunk in _canonical_chunks(graph):
         digest.update(chunk.encode("utf-8"))
     return digest.hexdigest()
+
+
+# The payload and text of each rule's constant verdicts, and the text of each
+# declared audit entry. A bool equals 1, so Article 0 or 1 is left out.
+_VERDICT_TEXTS = {(v.ruleId, v.status): (v.to_payload(), canonical_json(v.to_payload()))
+                  for spec in (*RULE_CATALOG.values(), *VARIATION_RULE_SPECS.values())
+                  for v in spec.constants.values() if not {0, 1} & set(v.articles)}
+_AUDIT_TEXTS = {(e.variationId, e.artifact, e.action): canonical_json(e.to_payload())
+                for vp in VARIATION_POINTS.values() for e in vp.audit}
+_REPORT_MIDDLE = ("checkDate", "graphFingerprint", "profileFingerprint", "schemaVersion",
+                  "summary")  # the keys that sort between "audit" and "verdicts"
+_REPORT_KEYS = frozenset({"audit", *_REPORT_MIDDLE, "verdicts"})
+
+
+def report_json(payload) -> str:
+    """``canonical_json(payload)``, for any payload. Each verdict or audit
+    entry of a report that is exactly a rule's constant verdict or a variation
+    point's declared entry is written from its text, built at import."""
+    if not (type(payload) is dict and payload.keys() == _REPORT_KEYS
+            and type(payload["verdicts"]) is list and type(payload["audit"]) is list):
+        return canonical_json(payload)
+    try:
+        audit = ",".join([(type(e) is dict and len(e) == 3 and _AUDIT_TEXTS.get(
+            (e.get("variation"), e.get("artifact"), e.get("action")))) or canonical_json(e)
+            for e in payload["audit"]])
+        # A verdict equal to a constant one is that one if its articles sum
+        # to an int: == alone would take 5.0 for 5.
+        verdicts = ",".join([c[1] if (c := type(v) is dict and _VERDICT_TEXTS.get(
+            (v.get("rule"), v.get("status")))) and v == c[0] and type(sum(v["articles"])) is int
+            else canonical_json(v) for v in payload["verdicts"]])
+    except TypeError:  # an unhashable value where a text is looked up
+        return canonical_json(payload)
+    middle = canonical_json({key: payload[key] for key in _REPORT_MIDDLE})
+    return '{"audit":[' + audit + "]," + middle[1:-1] + ',"verdicts":[' + verdicts + "]}"
 
 
 # ---------------------------------------------------------------------------

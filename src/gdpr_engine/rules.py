@@ -1839,16 +1839,7 @@ def evaluate_all(graph: InstanceGraph, profile,
         verdicts=tuple(verdicts),
         profileFingerprint=profile.fingerprint(),
         graphFingerprint=graph_fingerprint(graph),
-        checkDate=_minutes_to_iso(ctx.check_minutes),
+        checkDate=timebase.minutes_to_iso(ctx.check_minutes),
         summary=summary,
         audit=tuple(profile.resolution_table_payload()),
     )
-
-
-def _minutes_to_iso(minutes: int) -> str:
-    from datetime import datetime, timezone
-
-    stamp = datetime.fromtimestamp(minutes * 60, tz=timezone.utc)
-    # isoformat pads the year to four digits on every platform; strftime's
-    # %Y does not on glibc.
-    return stamp.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"

@@ -76,6 +76,12 @@ def parse_minutes(value: str) -> int:
     return minutes
 
 
+def minutes_to_iso(minutes: int) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ`` for ``minutes`` after the epoch, read back by ``parse_minutes``;
+    isoformat pads the year to four digits, where glibc's strftime ``%Y`` does not."""
+    return (_EPOCH + minutes * _MINUTE).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+
+
 def max_fine_cents(floor_cents: int, percent: int, turnover_cents: int) -> int:
     """Greater of the fixed ceiling and ``percent`` of a non-negative turnover."""
     return max(floor_cents, (turnover_cents * percent) // 100)

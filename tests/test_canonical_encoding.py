@@ -148,6 +148,22 @@ def test_serialization_is_canonical_stable_and_hashed_as_written(document,
         hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@PROPERTY_SETTINGS
+@given(OPEN_VALUES)
+def test_canonical_json_is_what_json_dumps_prints(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"),
+                                               ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [b"bytes"], {1: "a", "b": 2}])
+def test_canonical_json_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as refused:
+        json.dumps(value, sort_keys=True)
+    with pytest.raises(TypeError) as caught:
+        canonical_json(value)
+    assert str(caught.value) == str(refused.value)
+
+
 def test_canonical_json_of_a_cyclic_value_raises():
     """The encoder keeps no record of the containers it is inside, so a
     cycle recurses until the interpreter's limit stops it."""

@@ -14,6 +14,8 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     LONE_SURROGATE_MUTATIONS,
@@ -38,7 +40,8 @@ from gdpr_engine.ingest import (
     graph_fingerprint,
     serialize_profile,
 )
-from gdpr_engine.timebase import TimestampError, parse_minutes
+from gdpr_engine.timebase import (_FIRST_MINUTE, _LAST_MINUTE, TimestampError,
+                                  minutes_to_iso, parse_minutes)
 from gdpr_engine.variability import Resolution, build_profile
 
 
@@ -197,6 +200,20 @@ def test_parse_minutes_accepts_the_last_microsecond_of_year_9999():
     assert parse_minutes("9999-12-31T23:59:59.999999Z") == last
     with pytest.raises(TimestampError):
         parse_minutes("9999-12-31T23:59:59.999999-00:01")
+
+
+@pytest.mark.parametrize("minutes, stamp", [
+    (0, "1970-01-01T00:00:00Z"), (-1, "1969-12-31T23:59:00Z"),
+    (_FIRST_MINUTE, "0001-01-01T00:00:00Z"), (_LAST_MINUTE, "9999-12-31T23:59:00Z"),
+])
+def test_minutes_to_iso_pads_the_year_and_ends_in_z(minutes, stamp):
+    assert minutes_to_iso(minutes) == stamp
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=_FIRST_MINUTE, max_value=_LAST_MINUTE))
+def test_minutes_to_iso_is_read_back_by_parse_minutes(minutes):
+    assert parse_minutes(minutes_to_iso(minutes)) == minutes
 
 
 @pytest.mark.parametrize("stamp, printed", [

@@ -10,13 +10,18 @@ output of the loader before its per-class plans existed.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import pytest
 
 from fixtures import compliant_document, document_bytes, find
-from gdpr_engine import load_instance, load_profile, serialize_instance
-from gdpr_engine.ingest import LoadError
+from gdpr_engine import ingest, load_instance, load_profile, serialize_instance
+from gdpr_engine.ingest import MAX_INT_DIGITS, LoadError
 from gdpr_engine.variability import Resolution, build_profile
 
 
@@ -417,6 +422,9 @@ UNPARSABLE_DOCUMENTS = {
     "integer past the digit limit": (
         b'{"objects": [], "n": ' + b"9" * 5000 + b"}",
         "SYNTAX: a number has more digits than the parser allows"),
+    "negative integer one digit past the engine's limit": (
+        b'{"objects": [], "n": [-' + b"9" * 641 + b"]}",
+        "SYNTAX: a number has more digits than the parser allows"),
     "NaN": (b'{"objects": [], "n": NaN}', "SYNTAX: NaN is not a JSON number"),
     "Infinity": (b'{"objects": [], "n": Infinity}',
                  "SYNTAX: Infinity is not a JSON number"),
@@ -461,6 +469,74 @@ def test_overflowing_number_in_a_generic_attr_is_a_syntax_error():
     with pytest.raises(LoadError) as excinfo:
         load_instance(data.replace(b"0.125", b"1e999999"))
     assert str(excinfo.value) == "SYNTAX: a number is too large for a finite double"
+
+
+def _long_integer_document(literal: str) -> bytes:
+    document = compliant_document()
+    find(document, "demo1")["attrs"]["ratio"] = 0.125
+    data = document_bytes(document)
+    assert data.count(b"0.125") == 1
+    return data.replace(b"0.125", literal.encode("ascii"))
+
+
+# An integer of at most MAX_INT_DIGITS digits, sign not counted, loads; one
+# digit more is a SYNTAX error, whatever the interpreter's own digit limit.
+LONG_INTEGERS = {f"{sign}{digits} digits": (sign + "9" * digits, digits <= MAX_INT_DIGITS)
+                 for digits in (640, 641) for sign in ("", "-")}
+SCRIPT = """
+import sys
+from pathlib import Path
+from gdpr_engine import ingest
+for path in sys.argv[1:]:
+    for scan_whole in (ingest._SCAN_WHOLE, 0):
+        ingest._SCAN_WHOLE = scan_whole
+        try:
+            graph = ingest.load_instance(Path(path).read_bytes())
+        except ingest.LoadError as error:
+            print(error)
+        else:
+            ratio = graph.get("demo1").attrs["ratio"]
+            print(len(str(ratio)), len(ingest.serialize_instance(graph)))
+"""
+
+
+def _long_integer_outcome(data: bytes) -> str:
+    try:
+        graph = load_instance(data)
+    except LoadError as error:
+        return str(error)
+    return f"{len(str(graph.get('demo1').attrs['ratio']))} {len(serialize_instance(graph))}"
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
+@pytest.mark.parametrize("name", list(LONG_INTEGERS))
+def test_integer_digit_limit_is_the_engines(name, streamed):
+    assert MAX_INT_DIGITS == 640
+    literal, loads = LONG_INTEGERS[name]
+    with mock.patch.object(ingest, "_SCAN_WHOLE", 0 if streamed else ingest._SCAN_WHOLE):
+        outcome = _long_integer_outcome(_long_integer_document(literal))
+    if loads:
+        assert outcome.split()[0] == str(len(literal))
+    else:
+        assert outcome == "SYNTAX: a number has more digits than the parser allows"
+
+
+@pytest.mark.parametrize("setting", ["0", "640"])
+def test_integer_digit_limit_holds_under_any_interpreter_setting(setting, tmp_path):
+    """The interpreter's limit off, and at its lowest: each reader gives
+    the outcome of an in-process load."""
+    paths, expected = [], []
+    for name, (literal, _) in LONG_INTEGERS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(_long_integer_document(literal))
+        paths.append(str(path))
+        expected += [_long_integer_outcome(path.read_bytes())] * 2
+    source_root = str(Path(ingest.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *paths], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": source_root, "PYTHONINTMAXSTRDIGITS": setting})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == expected
 
 
 def test_basis_kind_that_is_not_a_string_is_a_bad_literal():
