@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .glossary import glossary_lookup
 from .ingest import LoadError, canonical_json, load_instance, load_profile, report_json
 from .registry import UnknownClassError, format_citations, trace_articles
 from .rules import (FAIL, NOT_APPLICABLE, PASS, RULE_CATALOG, UNKNOWN,
-                    ComplianceReport, evaluate_all)
+                    VARIATION_RULE_SPECS, ComplianceReport, evaluate_all)
 from .timebase import TimestampError
 from .variability import VariabilityError, build_profile, default_profile
 
@@ -78,7 +78,7 @@ def _load_profile_from_path(path: str | None):
     return build_profile(resolutions)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args) -> int:
     try:
         profile = _load_profile_from_path(args.profile)
         with open(args.instance, "rb") as handle:
@@ -101,7 +101,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_tailor(args: argparse.Namespace) -> int:
+def cmd_tailor(args) -> int:
     try:
         profile = _load_profile_from_path(args.profile)
     except (LoadError, VariabilityError, OSError) as exc:
@@ -125,9 +125,9 @@ def cmd_tailor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args) -> int:
     identifier = args.identifier
-    spec = RULE_CATALOG.get(identifier)
+    spec = RULE_CATALOG.get(identifier, VARIATION_RULE_SPECS.get(identifier))
     if spec is not None:
         print(format_citations([str(a) for a in spec.articles]))
         return EXIT_OK
@@ -140,7 +140,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_glossary(args: argparse.Namespace) -> int:
+def cmd_glossary(args) -> int:
     definition = glossary_lookup(args.term)
     if definition is None:
         print(f"error: no glossary entry for {args.term!r}", file=sys.stderr)
@@ -149,54 +149,94 @@ def cmd_glossary(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3, also in subcommands: 2 means an Unknown verdict."""
+# Each command's handler, help, options and positional argument: the one
+# place the grammar is declared. An option's dict is its ``add_argument``
+# keywords; its dest is its flag without the dashes, as argparse makes it.
+_FORMAT = {"choices": ("human", "machine"), "default": "human"}
+_COMMANDS = {
+    "check": (cmd_check, "evaluate all active rules", {
+        "--instance": {"required": True, "help": "instance document path"},
+        "--profile": {"help": "specialization profile document path"},
+        "--check-date": {"help": "ISO-8601 evaluation date"},
+        "--format": _FORMAT,
+        "--strict-variability": {"action": "store_true", "default": False,
+                                 "help": "report Unknown when a default hook decided a verdict"},
+    }, None),
+    "tailor": (cmd_tailor, "apply and audit a profile",
+               {"--profile": {"required": True}, "--format": _FORMAT}, None),
+    "trace": (cmd_trace, "articles for a rule or model class", {}, "identifier"),
+    "glossary": (cmd_glossary, "look up a model term", {}, "term"),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
+def build_parser():
+    """The argparse parser for ``_COMMANDS``: the only reader of help
+    requests, usage errors and the spellings ``_read`` declines."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit 3, also in subcommands: 2 means an Unknown verdict."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="gdpr-engine",
         description="Evaluate GDPR compliance rules over an instance model.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    check = commands.add_parser("check", help="evaluate all active rules")
-    check.add_argument("--instance", required=True, help="instance document path")
-    check.add_argument("--profile", help="specialization profile document path")
-    check.add_argument("--check-date", help="ISO-8601 evaluation date")
-    check.add_argument("--format", choices=("human", "machine"), default="human")
-    check.add_argument("--strict-variability", action="store_true",
-                       help="report Unknown when a default hook decided a verdict")
-    check.set_defaults(handler=cmd_check)
-
-    tailor = commands.add_parser("tailor", help="apply and audit a profile")
-    tailor.add_argument("--profile", required=True)
-    tailor.add_argument("--format", choices=("human", "machine"), default="human")
-    tailor.set_defaults(handler=cmd_tailor)
-
-    trace = commands.add_parser("trace", help="articles for a rule or model class")
-    trace.add_argument("identifier")
-    trace.set_defaults(handler=cmd_trace)
-
-    glossary = commands.add_parser("glossary", help="look up a model term")
-    glossary.add_argument("term")
-    glossary.set_defaults(handler=cmd_glossary)
-
+    for name, (handler, help_text, options, positional) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        if positional is not None:
+            command.add_argument(positional)
+        command.set_defaults(handler=handler)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser that every ``main`` call in this process reuses."""
     return build_parser()
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, for a command name
+    followed by exact long options, each value not starting with ``-``, and
+    the command's positional argument once; None for any other ``argv``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options, positional = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            if token.startswith("-") or positional is None or positional in given:
+                return None
+            given[positional] = token
+        elif "action" in keywords:
+            given[token] = True
+        else:
+            value = given[token] = next(tokens, "-")  # a missing value is declined
+            if value.startswith("-") or value not in keywords.get("choices", (value,)):
+                return None
+    if positional is not None and positional not in given:
+        return None
+    values = {}
+    for flag, keywords in options.items():
+        if keywords.get("required") and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.pop(flag, keywords.get("default"))
+    # What is left in ``given`` is the positional argument, if any.
+    return SimpleNamespace(command=argv[0], handler=handler, **values, **given)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv) or \
+        _parser().parse_args(argv)
     try:
         return args.handler(args)
     except Exception:  # exit 1 means only "a rule failed"

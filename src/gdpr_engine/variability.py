@@ -594,15 +594,15 @@ class SpecializationProfile:
             "parameters": {variation_id: resolution.parameters
                            for variation_id, resolution in self._resolutions.items()},
         }
-        blob = _FINGERPRINT_ENCODER.encode(state)
+        blob = "".join(_FINGERPRINT_ENCODER(state, 0))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# Params are frozen, so the only value JSON cannot encode is a read-only view;
-# tuples encode as lists and sort_keys orders every mapping. The tables build
-# params bottom-up from new containers, so none can hold itself.
-_FINGERPRINT_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=dict, check_circular=False)
+# Params are frozen, so the only value JSON cannot encode is a read-only view
+# (default=dict), and none holds itself (no markers). Built once, as
+# ``ingest._CANONICAL`` is: ASCII escapes, compact separators, sorted keys.
+_FINGERPRINT_ENCODER = json.encoder.c_make_encoder(
+    None, dict, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def plain_data(value):

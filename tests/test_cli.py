@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     BENCHMARK_PROFILES,
@@ -160,6 +162,8 @@ def test_check_exits_by_the_worst_verdict(profile, strict, tmp_path, capsys):
 def test_one_parser_serves_a_strict_check_and_then_a_plain_one(instance_path,
                                                                monkeypatch,
                                                                capsys):
+    """A well-formed pair builds no parser; the same pair spelled
+    ``--format=machine`` builds one, once, for both."""
     from gdpr_engine import cli
 
     checks = [
@@ -182,6 +186,10 @@ def test_one_parser_serves_a_strict_check_and_then_a_plain_one(instance_path,
     monkeypatch.setattr(cli, "build_parser", counted_build_parser)
     cli._parser.cache_clear()
     together = [(main(argv), capsys.readouterr().out) for argv in checks]
+    assert together == alone
+    assert built == []
+    spelled_otherwise = [[*argv[:3], "--format=machine", *argv[5:]] for argv in checks]
+    together = [(main(argv), capsys.readouterr().out) for argv in spelled_otherwise]
     cli._parser.cache_clear()
     assert together == alone
     assert built == [1]
@@ -219,13 +227,161 @@ def test_a_usage_error_exits_three_with_the_usage(argv, message, capsys):
     assert last.startswith("gdpr-engine") and f": error: {message}" in last, last
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["tailor", "-h"],
-                                  ["trace", "--help"], ["glossary", "--help"]])
+HELP_CASES = [["--help"], ["check", "--help"], ["tailor", "-h"], ["trace", "--help"],
+              ["glossary", "--help"]]
+
+
+@pytest.mark.parametrize("argv", HELP_CASES)
 def test_help_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gdpr-engine")
+
+
+_CHECK_OPTIONS = [["--instance", "x.json"], ["--profile", "p.json"],
+                  ["--check-date", "2024-05-01T00:00:00Z"], ["--format", "machine"],
+                  ["--strict-variability"]]
+
+
+def _well_formed_argvs() -> list[list[str]]:
+    """Every command with every set of its options that holds the required
+    one, in every order, each value spelled as README documents it; and
+    repeated options."""
+    import itertools
+
+    argvs = [["tailor", "--profile", "p.json"],
+             ["tailor", "--profile", "p.json", "--format", "human"],
+             ["tailor", "--format", "machine", "--profile", "p.json"],
+             ["trace", "C26"], ["trace", "V15"], ["glossary", "Binding Corporate Rules"],
+             ["glossary", ""],
+             ["check", "--instance", "a.json", "--instance", "b.json"],
+             ["check", "--format", "machine", "--instance", "x.json", "--format", "human"],
+             ["check", "--instance", "x.json", "--strict-variability",
+              "--strict-variability"],
+             ["tailor", "--profile", "p.json", "--profile", "q.json"]]
+    optional = _CHECK_OPTIONS[1:]
+    for size in range(len(optional) + 1):
+        for chosen in itertools.permutations(optional, size):
+            for at in range(size + 1):
+                options = [*chosen[:at], _CHECK_OPTIONS[0], *chosen[at:]]
+                argvs.append(["check", *itertools.chain.from_iterable(options)])
+    return argvs
+
+
+# Spellings that argparse reads and the reader may decline, usage errors and help.
+OTHER_SPELLINGS = [
+    ["check", "--instance=x.json"], ["check", "--instance", "x.json", "--format=machine"],
+    ["check", "--inst", "x.json"], ["check", "--instance", "x.json", "--strict"],
+    ["tailor", "--prof", "p.json"], ["check", "--", "--instance", "x.json"],
+    ["trace", "--", "C26"], ["trace", "--", "-x"], ["glossary", "--", "Consent"],
+    ["check", "--instance", "-x.json"], ["check", "--instance", "x.json", "--check-date", "-1"],
+    ["check", "--instance", "x.json", "--check-date", "--"], ["trace", "-5"],
+    ["check", "--instance", "x.json", "--profile"], ["check", "--strict-variability"],
+    ["check", "--instance", "x.json", "stray"], ["tailor", "--profile", "p.json", "x"],
+    ["check", "--instance", "x.json", "-h"], ["trace", "C26", "--help"], ["chec"],
+    ["tailor", "--profile", "p.json", "--strict-variability"], ["check", ""],
+    *(argv for argv, _ in USAGE_ERRORS), *HELP_CASES,
+]
+
+
+_ARGPARSE = build_parser()
+
+
+def _argparse_vars(argv):
+    """``vars()`` of what argparse reads from ``argv``, or None where it
+    exits for help or a usage error."""
+    import contextlib
+    import io
+
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(_ARGPARSE.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_the_reader_reads_what_argparse_reads_or_declines():
+    """Every documented spelling is read, as argparse reads it; any other
+    argv is read the same or declined, and left to argparse."""
+    from gdpr_engine import cli
+
+    well_formed = _well_formed_argvs()
+    # The 11 listed, and 261 orders of check's options.
+    assert len({tuple(argv) for argv in well_formed}) == 272
+    for argv in well_formed:
+        namespace = cli._read(argv)
+        assert namespace is not None, argv
+        assert vars(namespace) == _argparse_vars(argv), argv
+    for argv in OTHER_SPELLINGS:
+        namespace = cli._read(argv)
+        assert namespace is None or vars(namespace) == _argparse_vars(argv), argv
+
+
+_TOKENS = ["check", "tailor", "trace", "glossary", "--instance", "--profile",
+           "--check-date", "--format", "--strict-variability", "machine", "human",
+           "xml", "x.json", "C26", "", "-x", "-1", "--", "-h", "--help", "--inst",
+           "--format=machine", "--bogus"]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_the_reader_never_reads_otherwise_than_argparse(argv):
+    from gdpr_engine import cli
+
+    namespace = cli._read(argv)
+    if namespace is not None:
+        assert vars(namespace) == _argparse_vars(argv)
+
+
+def _run_fresh(argv):
+    """``python argv`` in a new interpreter that imports this gdpr_engine;
+    COLUMNS fixes the width argparse wraps help at."""
+    import os
+    import subprocess
+    import sys
+
+    import gdpr_engine
+
+    source_root = os.path.dirname(os.path.dirname(gdpr_engine.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env={**os.environ, "COLUMNS": "80", "PYTHONPATH": source_root},
+    )
+
+
+def test_a_well_formed_check_imports_no_argparse(instance_path, capsys):
+    """In a fresh process, the many-small argv shapes (plain, strict and
+    dated) run without importing argparse or the gettext it imports."""
+    base = ["check", "--instance", instance_path, "--profile",
+            str(BENCHMARK_PROFILES[0]), "--format", "machine"]
+    argvs = [base, [*base, "--strict-variability"],
+             [*base, "--check-date", "2024-05-01T00:00:00Z"]]
+    codes = [main(argv) for argv in argvs]
+    capsys.readouterr()
+    script = (
+        "import json, sys\n"
+        "from gdpr_engine import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [name for name in ('argparse', 'gettext') if name in sys.modules]\n"
+        "print(json.dumps([codes, loaded]), file=sys.stderr)\n"
+    )
+    result = _run_fresh(["-c", script, json.dumps(argvs)])
+    assert json.loads(result.stderr) == [codes, []]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check", "--help"], 0),
+                                        (["check"], 3), (["trace", "C26", "C27"], 3)])
+def test_a_fresh_process_prints_help_and_usage_errors_as_in_process(argv, code,
+                                                                     monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    result = _run_fresh(["-m", "gdpr_engine", *argv])
+    assert (exited.value.code, result.returncode) == (code, code)
+    assert (result.stdout, result.stderr) == (captured.out, captured.err)
 
 
 def test_an_internal_error_exits_three_with_its_traceback(instance_path):
@@ -335,6 +491,22 @@ def test_trace_rule_and_class(capsys):
     assert main(["trace", "Hardware"]) == 0
     assert capsys.readouterr().out.strip() == "no article mapping"
     assert main(["trace", "Nope"]) == 3
+
+
+def test_trace_variation_rules(capsys):
+    from gdpr_engine.rules import VARIATION_RULE_SPECS
+
+    assert main(["trace", "V15"]) == 0
+    assert capsys.readouterr().out == "Article 87\n"
+    assert main(["trace", "V12_1"]) == 0
+    assert capsys.readouterr().out == "Article 83\n"
+    assert len(VARIATION_RULE_SPECS) == 16
+    for rule_id, spec in VARIATION_RULE_SPECS.items():
+        assert main(["trace", rule_id]) == 0
+        assert capsys.readouterr().out == f"Article {spec.articles[0]}\n"
+    # A variation point without a rule of its own is no identifier.
+    assert main(["trace", "V5"]) == 3
+    assert capsys.readouterr().err == "error: unknown rule or class 'V5'\n"
 
 
 def test_glossary_lookup(capsys):
