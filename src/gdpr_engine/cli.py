@@ -8,12 +8,12 @@ import sys
 from types import SimpleNamespace
 
 from .glossary import glossary_lookup
-from .ingest import LoadError, canonical_json, load_instance, load_profile, report_json
+from .ingest import LoadError, canonical_json, load_instance, load_profile
 from .registry import UnknownClassError, format_citations, trace_articles
 from .rules import (FAIL, NOT_APPLICABLE, PASS, RULE_CATALOG, UNKNOWN,
                     VARIATION_RULE_SPECS, ComplianceReport, evaluate_all)
 from .timebase import TimestampError
-from .variability import VariabilityError, build_profile, default_profile
+from .variability import VARIATION_POINTS, VariabilityError, build_profile, default_profile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,6 +46,36 @@ def _write_machine(text: str) -> None:
     sys.stdout.flush()
     buffer.write(text.encode("utf-8"))
     buffer.flush()
+
+
+# The text of each rule's constant verdicts, by identity (each lives as long as
+# its RuleSpec.constants, so no other object takes its id), and of each
+# variation point's declared audit entries, by their three values.
+_VERDICT_TEXTS = {id(verdict): canonical_json(verdict.to_payload())
+                  for spec in (*RULE_CATALOG.values(), *VARIATION_RULE_SPECS.values())
+                  for verdict in spec.constants.values()}
+_AUDIT_TEXTS = {(e.variationId, e.artifact, e.action): canonical_json(e.to_payload())
+                for vp in VARIATION_POINTS.values() for e in vp.audit}
+_REPORT_MIDDLE = ("checkDate", "graphFingerprint", "profileFingerprint", "schemaVersion",
+                  "summary")  # the keys that sort between "audit" and "verdicts"
+
+
+def _audit_json(entry: dict) -> str:
+    key = (entry.get("variation"), entry.get("artifact"), entry.get("action"))
+    declared = len(entry) == 3 and type(key[0]) is type(key[1]) is type(key[2]) is str
+    return declared and _AUDIT_TEXTS.get(key) or canonical_json(entry)
+
+
+def report_json(report: ComplianceReport) -> str:
+    """``canonical_json(report.to_payload())``: a verdict that is its rule's
+    constant, or an audit entry of a declared entry's three strings, is
+    written from its text, and every other part is encoded."""
+    payload = report.to_payload()
+    verdicts = ",".join([_VERDICT_TEXTS.get(id(verdict)) or canonical_json(part)
+                         for verdict, part in zip(report.verdicts, payload["verdicts"])])
+    audit = ",".join(map(_audit_json, payload["audit"]))
+    middle = canonical_json({key: payload[key] for key in _REPORT_MIDDLE})
+    return '{"audit":[' + audit + "]," + middle[1:-1] + ',"verdicts":[' + verdicts + "]}"
 
 
 def _print_human_report(report: ComplianceReport, stream) -> None:
@@ -90,7 +120,7 @@ def cmd_check(args) -> int:
         return EXIT_ERROR
 
     if args.format == "machine":
-        _write_machine(report_json(report.to_payload()))
+        _write_machine(report_json(report))
     else:
         _print_human_report(report, sys.stdout)
     counts = report.counts()

@@ -41,7 +41,6 @@ from .model import (
 )
 from .records import MISSING
 from .registry import ABSTRACT_CLASSES, UnknownClassError, canonical_class_name
-from .rules import RULE_CATALOG, VARIATION_RULE_SPECS
 from .timebase import TimestampError, TimestampRangeError, parse_minutes
 from .variability import (
     Resolution,
@@ -690,8 +689,7 @@ def _nested_plan(sample, names) -> tuple[tuple[str, str, object], ...]:
 
 _BASIS_PLANS = {kind: _nested_plan(TransferBasis(kind), allowed | {"kind"})
                 for kind, allowed in BASIS_FIELDS.items()}
-_CONSULTATION_PLAN = _nested_plan(Consultation(""),
-                                  ("requestedAt", "adviceAt", "extended"))
+_CONSULTATION_PLAN = _nested_plan(Consultation(""), Consultation.__record_fields__)
 
 
 def _encode_nested(value, plan) -> str:
@@ -765,40 +763,6 @@ def graph_fingerprint(graph: InstanceGraph) -> str:
     for chunk in _canonical_chunks(graph):
         digest.update(chunk.encode("utf-8"))
     return digest.hexdigest()
-
-
-# The payload and text of each rule's constant verdicts, and the text of each
-# declared audit entry. A bool equals 1, so Article 0 or 1 is left out.
-_VERDICT_TEXTS = {(v.ruleId, v.status): (v.to_payload(), canonical_json(v.to_payload()))
-                  for spec in (*RULE_CATALOG.values(), *VARIATION_RULE_SPECS.values())
-                  for v in spec.constants.values() if not {0, 1} & set(v.articles)}
-_AUDIT_TEXTS = {(e.variationId, e.artifact, e.action): canonical_json(e.to_payload())
-                for vp in VARIATION_POINTS.values() for e in vp.audit}
-_REPORT_MIDDLE = ("checkDate", "graphFingerprint", "profileFingerprint", "schemaVersion",
-                  "summary")  # the keys that sort between "audit" and "verdicts"
-_REPORT_KEYS = frozenset({"audit", *_REPORT_MIDDLE, "verdicts"})
-
-
-def report_json(payload) -> str:
-    """``canonical_json(payload)``, for any payload. Each verdict or audit
-    entry of a report that is exactly a rule's constant verdict or a variation
-    point's declared entry is written from its text, built at import."""
-    if not (type(payload) is dict and payload.keys() == _REPORT_KEYS
-            and type(payload["verdicts"]) is list and type(payload["audit"]) is list):
-        return canonical_json(payload)
-    try:
-        audit = ",".join([(type(e) is dict and len(e) == 3 and _AUDIT_TEXTS.get(
-            (e.get("variation"), e.get("artifact"), e.get("action")))) or canonical_json(e)
-            for e in payload["audit"]])
-        # A verdict equal to a constant one is that one if its articles sum
-        # to an int: == alone would take 5.0 for 5.
-        verdicts = ",".join([c[1] if (c := type(v) is dict and _VERDICT_TEXTS.get(
-            (v.get("rule"), v.get("status")))) and v == c[0] and type(sum(v["articles"])) is int
-            else canonical_json(v) for v in payload["verdicts"]])
-    except TypeError:  # an unhashable value where a text is looked up
-        return canonical_json(payload)
-    middle = canonical_json({key: payload[key] for key in _REPORT_MIDDLE})
-    return '{"audit":[' + audit + "]," + middle[1:-1] + ',"verdicts":[' + verdicts + "]}"
 
 
 # ---------------------------------------------------------------------------

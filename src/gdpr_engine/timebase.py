@@ -8,7 +8,8 @@ statutory windows the rules enforce.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+import re
+from datetime import date, datetime, timedelta
 
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
@@ -36,12 +37,12 @@ FINE_TIER2_FLOOR_CENTS = 20_000_000 * 100
 FINE_TIER2_TURNOVER_PERCENT = 4
 
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MINUTE = timedelta(minutes=1)
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_DAY = _EPOCH.toordinal()
 
 # The instants a report can print: years 1-9999 in UTC.
-_FIRST_MINUTE = (datetime(1, 1, 1, tzinfo=timezone.utc) - _EPOCH) // _MINUTE
-_LAST_MINUTE = (datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc) - _EPOCH) // _MINUTE
+_FIRST_MINUTE = (1 - _EPOCH_DAY) * MINUTES_PER_DAY
+_LAST_MINUTE = (date.max.toordinal() + 1 - _EPOCH_DAY) * MINUTES_PER_DAY - 1
 
 
 class TimestampError(ValueError):
@@ -52,25 +53,46 @@ class TimestampRangeError(TimestampError):
     """Raised for a well-formed instant outside years 1-9999 in UTC."""
 
 
-def parse_minutes(value: str) -> int:
-    """Parse an ISO-8601 instant into whole minutes since the Unix epoch.
+# The one timestamp grammar, read after surrounding whitespace is stripped:
+# what every supported Python's datetime.fromisoformat accepted once a final Z
+# was read as +00:00, with a fraction of any length (see README).
+_TIMESTAMP = re.compile(r"""
+    ([0-9]{4}-[0-9]{2}-[0-9]{2})
+    (?:.([01][0-9]|2[0-3])(?::([0-5][0-9])(?::([0-5][0-9]))?)?  # any one character, a time
+       (?:(?(4)[.:]|\.)([0-9]+)                      # a fraction, after ':' only past seconds
+        |(?![+\-Z])[\x00-\x7f](?=[-+Zz])|\x00\Z)?    # or a stray character, or a final NUL
+       (?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:[.:]([0-9]+))?)?|[Zz])?  # an offset
+     |[Zz])?""", re.VERBOSE | re.DOTALL)  # or a Z right after the date
 
-    Accepts 'Z', an explicit offset, or a naive time (treated as UTC).
-    Seconds are floored onto the minute grid. The instant must fall in
-    years 1-9999 in UTC, so that every parsed value can be printed back.
-    """
+
+def _microseconds(digits: str | None) -> int:
+    return int(digits[:6].ljust(6, "0")) if digits else 0  # past the sixth digit, cut
+
+
+def parse_minutes(value: str) -> int:
+    """Minutes since the Unix epoch, floored, of an ISO-8601 instant in the
+    grammar of ``_TIMESTAMP`` (UTC when it has no offset) that falls in years
+    1-9999 in UTC, so that every parsed value can be printed back."""
     if not isinstance(value, str) or not value:
         raise TimestampError(f"not a timestamp: {value!r}")
     text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    try:
-        stamp = datetime.fromisoformat(text)
+    match = _TIMESTAMP.fullmatch(text)
+    if match is None:
+        raise TimestampError(f"bad timestamp {value!r}: Invalid isoformat string: {text!r}")
+    day, hour, minute, second, fraction, sign, *offset = match.groups()
+    try:  # every supported Python reads a YYYY-MM-DD date alike
+        days = date.fromisoformat(day).toordinal() - _EPOCH_DAY
     except ValueError as exc:
         raise TimestampError(f"bad timestamp {value!r}: {exc}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    minutes = (stamp - _EPOCH) // _MINUTE
+    minutes = (days * 24 + int(hour or 0)) * 60 + int(minute or 0)
+    if sign is not None:
+        whole = (int(offset[0]) * 60 + int(offset[1])) * 60 + int(offset[2] or 0)
+        if whole >= 86_400:
+            raise TimestampError(f"bad timestamp {value!r}: its offset is 24 hours or more")
+        if whole:  # an offset of no whole seconds is UTC, whatever its fraction
+            shift = whole * 1_000_000 + _microseconds(offset[3])
+            minutes += (int(second or 0) * 1_000_000 + _microseconds(fraction)
+                        + (shift if sign == "-" else -shift)) // 60_000_000
     if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
         raise TimestampRangeError(f"timestamp {value!r} falls outside years 1-9999 in UTC")
     return minutes
@@ -79,7 +101,7 @@ def parse_minutes(value: str) -> int:
 def minutes_to_iso(minutes: int) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` for ``minutes`` after the epoch, read back by ``parse_minutes``;
     isoformat pads the year to four digits, where glibc's strftime ``%Y`` does not."""
-    return (_EPOCH + minutes * _MINUTE).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+    return (_EPOCH + timedelta(minutes=minutes)).isoformat(timespec="seconds") + "Z"
 
 
 def max_fine_cents(floor_cents: int, percent: int, turnover_cents: int) -> int:

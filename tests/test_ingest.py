@@ -41,7 +41,7 @@ from gdpr_engine.ingest import (
     serialize_profile,
 )
 from gdpr_engine.timebase import (_FIRST_MINUTE, _LAST_MINUTE, TimestampError,
-                                  minutes_to_iso, parse_minutes)
+                                  TimestampRangeError, minutes_to_iso, parse_minutes)
 from gdpr_engine.variability import Resolution, build_profile
 
 
@@ -193,6 +193,71 @@ def test_malformed_timestamps_keep_the_iso_8601_message(stamp):
 ])
 def test_parse_minutes_floors_onto_the_minute_grid(stamp, minutes):
     assert parse_minutes(stamp) == minutes
+
+
+# The timestamp grammar, with literal outcomes: minutes, ERROR or RANGE. Rows
+# marked * changed on some supported Python: datetime.fromisoformat accepted
+# them on 3.11 and later only, or (the stray Z) on 3.10 only.
+ERROR, RANGE = "error", "range"
+TIMESTAMP_GRAMMAR = [
+    ("1970-01-01T00:00:00Z", 0),
+    ("1969-12-31T23:59:59.5Z", -1),  # *
+    ("2023-06-01T00:00:00.5Z", 28092960),  # *
+    ("2023-06-01T00:00:00.1234567Z", 28092960),  # *
+    ("9999-12-31T23:59:59.9999999Z", 4223371679),  # *
+    ("2023-06-01T12.5", 28093680),  # *
+    ("2023-06-01T12:30:45.1234567+01:00", 28093650),  # *
+    ("2023-06-01T12:30+01:00:00.5", 28093649),  # *
+    ("1970-01-01T00:01:00+00:00:01.5", 0),  # *
+    ("0001-01-01T00:00:00+00:00:00.5", _FIRST_MINUTE),  # *
+    ("2023-06-01T00:00:00+0100", ERROR),  # *
+    ("2023-06-01T00:00:00+01", ERROR),  # *
+    ("20230601T000000Z", ERROR),  # *
+    ("2023-W22-4", ERROR),  # *
+    ("2023-06-01T00:00:00,5Z", ERROR),  # *
+    ("2023-06-01T12Z+01:00", ERROR),  # *
+    ("2023-06-01", 28092960),
+    ("2023-06-01 12:30", 28093710),
+    ("2023-06-01é12:30", 28093710),
+    ("2023-06-01T12", 28093680),
+    (" 2023-06-01T12:30Z\n", 28093710),
+    ("2023-06-01t12:30z", 28093710),
+    ("2023-06-01T12:30:45.123+01:00", 28093650),
+    ("2023-06-01T12:30:45:123456+05:30", 28093380),
+    ("2023-06-01T12:30-23:59", 28095149),
+    ("2023-06-01T12:30+00:99", 28093611),
+    ("1970-01-01T00:01:00+00:00:00.000001", 1),
+    ("1970-01-01T00:01:00-00:00:00.999999", 1),
+    ("1970-01-01T00:01:00-00:00:01.000001", 1),
+    ("1970-01-01T00:00:59.999999+00:00:59:999999", 0),
+    ("2023-06-01T12x+01:00", 28093620),
+    ("2023-06-01T12:30:45.+01:00", 28093650),
+    ("2023-06-01T12\x00", 28093680),
+    ("2023-06-01T12x", ERROR),
+    ("2023-06-01T24:00:00Z", ERROR),
+    ("2023-06-01T23:59:60Z", ERROR),
+    ("2023-06-01T12:30+24:00", ERROR),
+    ("\uff12023-06-01", ERROR),
+    ("2023-6-01", ERROR),
+    ("2023-02-29", ERROR),
+    ("0000-12-31T23:59Z", ERROR),
+    ("0001-01-01T00:00:00+00:00:01", RANGE),
+    ("yesterday", ERROR),
+    ("", ERROR),
+]
+
+
+@pytest.mark.parametrize("stamp, outcome", TIMESTAMP_GRAMMAR)
+def test_timestamps_parse_by_one_grammar(stamp, outcome):
+    if outcome == ERROR:
+        with pytest.raises(TimestampError) as caught:
+            parse_minutes(stamp)
+        assert not isinstance(caught.value, TimestampRangeError)
+    elif outcome == RANGE:
+        with pytest.raises(TimestampRangeError):
+            parse_minutes(stamp)
+    else:
+        assert parse_minutes(stamp) == outcome
 
 
 def test_parse_minutes_accepts_the_last_microsecond_of_year_9999():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from fixtures import BENCHMARK_PROFILES, compliant_document, document_bytes, failing_variants
 from gdpr_engine import cli, ingest
-from gdpr_engine.ingest import canonical_json, report_json
-from gdpr_engine.rules import RULE_CATALOG, VARIATION_RULE_SPECS, ComplianceReport
+from gdpr_engine.ingest import canonical_json
+from gdpr_engine.rules import (NOT_APPLICABLE, PASS, RULE_CATALOG, VARIATION_RULE_SPECS,
+                               ComplianceReport, Finding, RuleVerdict)
 from gdpr_engine.variability import VARIATION_POINTS
 
 FULL_PROFILE = next(path for path in BENCHMARK_PROFILES if path.stem == "full")
@@ -25,6 +27,8 @@ CONSTANT_VERDICTS = [verdict.to_payload()
                      for spec in (*RULE_CATALOG.values(), *VARIATION_RULE_SPECS.values())
                      for verdict in spec.constants.values()]
 DECLARED_AUDIT = [entry.to_payload() for vp in VARIATION_POINTS.values() for entry in vp.audit]
+CONSTANTS = [verdict for spec in (*RULE_CATALOG.values(), *VARIATION_RULE_SPECS.values())
+             for verdict in spec.constants.values()]
 
 
 def _check(tmp_path, capsys, document: dict, options: list[str]) -> str:
@@ -99,91 +103,151 @@ def test_no_constant_part_reaches_the_encoder(monkeypatch, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def report_payload():
-    """The payload of the compliant fixture's report under the full profile,
-    strict: constant verdicts, verdicts with findings and declared audit
-    entries."""
+def report() -> ComplianceReport:
+    """The compliant fixture's report under the full profile, strict:
+    constant verdicts, verdicts with findings and declared audit entries."""
     from gdpr_engine import build_profile, evaluate_all, load_instance, load_profile
 
     profile = build_profile(load_profile(FULL_PROFILE.read_bytes()))
     graph = load_instance(document_bytes(compliant_document()), profile)
-    return evaluate_all(graph, profile, check_date=CHECK_DATE, strict=True).to_payload()
+    return evaluate_all(graph, profile, check_date=CHECK_DATE, strict=True)
 
 
-def _set(key, value):
-    return lambda part: part.__setitem__(key, value)
+def _write(report, monkeypatch) -> tuple[str, list]:
+    """What the writer prints for ``report``, and each value it encodes."""
+    encoded = []
+
+    def spy(value):
+        encoded.append(value)
+        return canonical_json(value)
+
+    monkeypatch.setattr(cli, "canonical_json", spy)
+    text = cli.report_json(report)
+    monkeypatch.undo()
+    assert text == canonical_json(report.to_payload())
+    return text, encoded
 
 
-# Parts that look like a constant verdict or a declared audit entry and are not.
+def _is_constant(verdict) -> bool:
+    return any(verdict is constant for constant in CONSTANTS)
+
+
+def test_the_report_holds_constants_and_other_verdicts(report):
+    constants = [v for v in report.verdicts if _is_constant(v)]
+    assert len(constants) == 46 and len(report.verdicts) > len(constants)
+
+
+# Verdicts that equal a rule's constant verdict, or nearly, but are not it.
 LOOK_ALIKES = {
-    "verdict with other articles": ("verdicts", _set("articles", [5, 99])),
-    "verdict with its articles as floats":
-        ("verdicts", lambda v: v.__setitem__("articles", [float(a) for a in v["articles"]])),
-    "verdict with its articles as a tuple":
-        ("verdicts", lambda v: v.__setitem__("articles", tuple(v["articles"]))),
-    "verdict with an extra key": ("verdicts", _set("note", "x")),
-    "verdict without hookDependencies": ("verdicts", lambda v: v.pop("hookDependencies")),
-    "verdict with only a hook dependency":
-        ("verdicts", _set("hookDependencies", ["V_getMinimumAgeForDS"])),
-    "verdict with a non-ASCII finding id":
-        ("verdicts", _set("findings", [{"object": "bürger \U0001F600",
-                                        "message": "é \"quoted\""}])),
-    "verdict with a rule id that is a list": ("verdicts", _set("rule", ["C2"])),
-    "verdict with its findings as a tuple": ("verdicts", _set("findings", ())),
-    "audit entry with an undeclared action": ("audit", _set("action", "rewrote constraint C2")),
-    "audit entry with an extra key": ("audit", _set("note", "x")),
-    "audit entry with a non-ASCII variation id": ("audit", _set("variation", "V1é")),
-    "audit entry with an action that is a list": ("audit", _set("action", ["x"])),
+    "a copy": copy.copy,
+    "a deep copy": copy.deepcopy,
+    "the same values": lambda v: RuleVerdict(v.ruleId, v.status, v.articles),
+    "articles as floats": lambda v: RuleVerdict(v.ruleId, v.status,
+                                                tuple(float(a) for a in v.articles)),
+    "articles as a list": lambda v: RuleVerdict(v.ruleId, v.status, list(v.articles)),
+    "other articles": lambda v: RuleVerdict(v.ruleId, v.status, (5, 99)),
+    "a finding with non-ASCII text": lambda v: RuleVerdict(
+        v.ruleId, v.status, v.articles, (Finding("bürger \U0001F600", 'é "quoted"'),)),
+    "only a hook dependency": lambda v: RuleVerdict(v.ruleId, v.status, v.articles, (),
+                                                    ("V_getMinimumAgeForDS",)),
+    "another rule's id": lambda v: RuleVerdict("C2" if v.ruleId != "C2" else "C3",
+                                               v.status, v.articles),
+    "the other status": lambda v: RuleVerdict(
+        v.ruleId, NOT_APPLICABLE if v.status == PASS else PASS, v.articles),
 }
 
 
 @pytest.mark.parametrize("name", list(LOOK_ALIKES))
-def test_look_alike_parts_are_encoded(name, report_payload):
-    key, mutate = LOOK_ALIKES[name]
-    payload = copy.deepcopy(report_payload)
-    for part in payload[key]:
-        mutate(part)
-    assert report_json(payload) == canonical_json(payload)
+def test_verdicts_that_are_not_the_constant_object_are_encoded(name, report, monkeypatch):
+    mutate = LOOK_ALIKES[name]
+    verdicts = tuple(mutate(v) if _is_constant(v) else v for v in report.verdicts)
+    odd = report.__class__(verdicts, report.profileFingerprint, report.graphFingerprint,
+                           report.checkDate, report.summary, report.audit)
+    _, encoded = _write(odd, monkeypatch)
+    for verdict in verdicts:
+        assert verdict.to_payload() in encoded, verdict
 
 
-@pytest.mark.parametrize("change", [
-    lambda p: p.__setitem__("extra", 1),
-    lambda p: p.pop("summary"),
-    lambda p: p.__setitem__("verdicts", tuple(p["verdicts"])),
-    lambda p: p.__setitem__("audit", "none"),
-    lambda p: p.__setitem__("summary", {"Pass": 1.0, "ü": [None, True]}),
-], ids=["extra key", "missing key", "verdicts as a tuple", "audit as a string",
-        "odd summary"])
-def test_a_payload_of_another_shape_is_encoded(change, report_payload):
-    payload = copy.deepcopy(report_payload)
-    change(payload)
-    assert report_json(payload) == canonical_json(payload)
+def test_an_unpickled_report_is_encoded_whole(report, monkeypatch):
+    copied = pickle.loads(pickle.dumps(report))
+    assert copied == report and not any(map(_is_constant, copied.verdicts))
+    text, encoded = _write(copied, monkeypatch)
+    assert text == cli.report_json(report)
+    assert [v.to_payload() for v in copied.verdicts] == \
+        [part for part in encoded if "rule" in part]
 
 
-ODD_VALUES = st.sampled_from([None, True, 7, 7.0, "", "é", [], (), [5.0], [True], ["x"],
-                              {}, {"object": "ü", "message": "m"}])
+# Audit entries of a hand-built report that are not declared entries.
+ODD_AUDIT = {
+    "an undeclared action": {**DECLARED_AUDIT[0], "action": "rewrote constraint C2"},
+    "an extra key": {**DECLARED_AUDIT[0], "note": "x"},
+    "a missing key": {k: v for k, v in DECLARED_AUDIT[0].items() if k != "artifact"},
+    "a non-ASCII variation id": {**DECLARED_AUDIT[0], "variation": "V1é"},
+    "an action that is a list": {**DECLARED_AUDIT[0], "action": ["x"]},
+    "a variation that is a dict": {**DECLARED_AUDIT[0], "variation": {"id": "V3"}},
+    "an artifact that is a number": {**DECLARED_AUDIT[0], "artifact": 7},
+    "no keys": {},
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_AUDIT))
+def test_a_hand_built_report_with_odd_audit_entries_is_encoded(name, monkeypatch):
+    entry = ODD_AUDIT[name]
+    odd = ComplianceReport((CONSTANTS[0],), "p", "g", CHECK_DATE, {PASS: 1.0, "ü": [None]},
+                           (entry, DECLARED_AUDIT[0]))
+    _, encoded = _write(odd, monkeypatch)
+    assert entry in encoded and DECLARED_AUDIT[0] not in encoded
+
+
+# Values of the right type for each verdict field, most unlike a constant's.
+VERDICT_VALUES = {
+    "ruleId": st.sampled_from(["C2", "V15", "", "é"]),
+    "status": st.sampled_from([PASS, NOT_APPLICABLE, "Fail", "é"]),
+    "articles": st.sampled_from([(), (5,), (5.0,), (True,), (5, 99)]),
+    "findings": st.sampled_from([(Finding("", "m"),), (Finding("ü", "é \"q\""),)]),
+    "hookDependencies": st.sampled_from([("V_getMinimumAgeForDS",), ("é",)]),
+}
 
 
 @st.composite
-def look_alike(draw):
-    """A constant verdict or declared audit entry, maybe with one key
-    dropped, added or set to an odd value."""
-    part = copy.deepcopy(draw(st.sampled_from(CONSTANT_VERDICTS + DECLARED_AUDIT)))
+def verdicts(draw):
+    """A rule's constant verdict, an equal copy of one, or one with a field
+    set to another value."""
+    constant = draw(st.sampled_from(CONSTANTS))
+    kind = draw(st.sampled_from(["constant", "copy", "mutated"]))
+    if kind == "constant":
+        return constant
+    if kind == "copy":
+        return copy.copy(constant)
+    fields = {name: getattr(constant, name) for name in VERDICT_VALUES}
+    name = draw(st.sampled_from(sorted(fields)))
+    fields[name] = draw(VERDICT_VALUES[name])
+    return RuleVerdict(**fields)
+
+
+ODD_VALUES = st.sampled_from([None, True, 7, 7.0, "", "é", [], [5.0], ["x"], {},
+                              {"object": "ü", "message": "m"}])
+
+
+@st.composite
+def audit_entries(draw):
+    """A declared audit entry, maybe with one key dropped, added or set to
+    an odd value."""
+    entry = dict(draw(st.sampled_from(DECLARED_AUDIT)))
+    key = draw(st.sampled_from(sorted(entry)))
     edit = draw(st.sampled_from(["none", "drop", "add", "set"]))
-    key = draw(st.sampled_from(sorted(part)))
     if edit == "drop":
-        del part[key]
+        del entry[key]
     elif edit == "add":
-        part["extra"] = draw(ODD_VALUES)
+        entry["extra"] = draw(ODD_VALUES)
     elif edit == "set":
-        part[key] = draw(ODD_VALUES)
-    return part
+        entry[key] = draw(ODD_VALUES)
+    return entry
 
 
 @settings(max_examples=200)
-@given(verdicts=st.lists(look_alike(), max_size=6), audit=st.lists(look_alike(), max_size=6))
-def test_any_report_shaped_payload_is_written_as_its_canonical_json(verdicts, audit):
-    payload = {"schemaVersion": "1", "checkDate": "2023-06-01T00:00:00Z",
-               "graphFingerprint": "g", "profileFingerprint": "p",
-               "summary": {"Pass": len(verdicts)}, "verdicts": verdicts, "audit": audit}
-    assert report_json(payload) == canonical_json(payload)
+@given(verdicts=st.lists(verdicts(), max_size=8), audit=st.lists(audit_entries(), max_size=6))
+def test_any_report_is_written_as_the_canonical_json_of_its_payload(verdicts, audit):
+    report = ComplianceReport(tuple(verdicts), "p", "g", CHECK_DATE,
+                              {PASS: len(verdicts)}, tuple(audit))
+    assert cli.report_json(report) == canonical_json(report.to_payload())
